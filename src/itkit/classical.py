@@ -106,30 +106,36 @@ def action_S_uniform(r, r_prime, T: float, m: float = 1.0, F=0.0) -> float:
     )
 
 
-def action_S_tilde_uniform(r, p, T: float, m: float = 1.0, F=0.0) -> float:
+def action_S_tilde_uniform(r, p, T: float, m: float = 1.0, F=0.0) -> float | np.ndarray:
     """Mixed action in a uniform field:
 
     S~ = p.r - p^2 T/(2m) + F.r T - p.F T^2/(2m) - F^2 T^3/(6m).
 
     Satisfies dS~/dp = r' (launch point traced back from (p, r)) and
     |det d^2 S~ / dr dp| = 1, and reduces to the free form at F = 0.
+    ``r`` and ``p`` may stack points on leading axes (shape (..., d)); the
+    result is then an array of shape (...), else a float.
     """
     if T < 0:
         raise DomainError("T must be nonnegative")
     r, p, f = _vec(r), _vec(p), _vec(F)
-    return float(
-        np.dot(p, r)
-        - np.dot(p, p) * T / (2.0 * m)
-        + np.dot(f, r) * T
-        - np.dot(p, f) * T ** 2 / (2.0 * m)
-        - np.dot(f, f) * T ** 3 / (6.0 * m)
+    # vecdot dots over the last axis exactly as np.dot does per point
+    s = (
+        np.vecdot(p, r)
+        - np.vecdot(p, p) * T / (2.0 * m)
+        + np.vecdot(f, r) * T
+        - np.vecdot(p, f) * T ** 2 / (2.0 * m)
+        - np.vecdot(f, f) * T ** 3 / (6.0 * m)
     )
+    return float(s) if np.ndim(s) == 0 else s
 
 
 def stationary_momentum(r, r_prime, T: float, m: float = 1.0, F=None) -> np.ndarray:
     """Launch momentum of the unique path from r' to r in time T.
 
-    Free: p' = m (r - r') / T.  Uniform field adds -F T / 2.
+    Free: p' = m (r - r') / T.  Uniform field adds -F T / 2.  ``r`` may
+    stack end points on leading axes (shape (..., d)); p' then has the
+    same shape.
     """
     if T <= 0:
         raise DomainError("T must be positive")

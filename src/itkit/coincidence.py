@@ -173,9 +173,10 @@ def invert_delays_numeric(obs: DelayObservation) -> np.ndarray:
 
     # upper limit: each denominator DeltaT_n + t1/p1 must stay positive
     hi = math.sqrt(2.0 * m[0] * E)
-    neg = obs.delays[obs.delays < 0]
-    if len(neg):
-        hi = min(hi, float(np.min(t1 / -neg)))
+    # compared before dividing: t1 / |DeltaT| overflows for tiny delays
+    earliest = -float(np.min(obs.delays))
+    if earliest * hi > t1:
+        hi = t1 / earliest
     # back off the bound until h is finite and positive
     shrink = 1e-12
     while shrink < 0.5 and not (math.isfinite(h(hi * (1.0 - shrink)))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from itkit.coincidence import (
@@ -24,7 +24,7 @@ from itkit.coincidence import (
     pair_model_momentum_density,
     synthesize_dataset,
 )
-from itkit.errors import DomainError, FitError
+from itkit.errors import DomainError, FitError, InfeasibleError
 
 EV = 1.0 / 27.211386245988
 CM = 1.0 / 5.29177210903e-9
@@ -123,6 +123,22 @@ class TestNumericInversion:
         p = invert_delays_numeric(obs)
         assert np.all(p > 0)
         assert np.sum(p ** 2 / 2.0) == pytest.approx(1.5, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(st.floats(min_value=-1e6, max_value=1e6))
+    @example(-1e-310)
+    @example(-5e-324)
+    @example(1e-310)
+    @settings(max_examples=50, deadline=None)
+    def test_no_numerical_warning(self, delay):
+        # the momentum bound t1 / |delay| once overflowed for tiny delays
+        obs = DelayObservation([1.0, 1.0], [1.0, 1.0], 1.0, [delay])
+        try:
+            p = invert_delays_numeric(obs)
+        except InfeasibleError:
+            return
+        assert np.all(p > 0)
+        assert np.sum(p ** 2 / 2.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_observation_validation(self):
         with pytest.raises(DomainError):

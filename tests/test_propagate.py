@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from itkit.classical import action_S_tilde_uniform, stationary_momentum
 from itkit.core import (
     MOMENTUM,
     POSITION,
     ComplexField,
     GaussianPacketSpec,
+    Grid,
     UniformField,
     centered_grid_1d,
     sample_gaussian,
@@ -25,6 +27,7 @@ from itkit.propagate import (
     EvolutionSpec,
     evolve_free_exact,
     evolve_split_operator,
+    interpolate_field,
     it_field_uniform,
     kernel_mixed_semiclassical,
     kernel_position_semiclassical,
@@ -36,6 +39,18 @@ def packet(n=4096, extent=600.0, center=0.0, p0=1.0, sigma_p=0.25):
     grid = centered_grid_1d(extent, n, center)
     spec = GaussianPacketSpec(p0=[p0], sigma_p=[sigma_p], r0=[0.0])
     return grid, sample_gaussian(spec, grid, POSITION)
+
+
+def stark_closed_form(psi0, grid, m, force, t):
+    """Exact evolution under p^2/2m - F.r (Avron & Herbst), one numpy FFT pair."""
+    axes = grid.meshgrid()
+    k = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(n, dx) for n, dx in zip(grid.n, grid.spacing)],
+                    indexing="ij", sparse=True)
+    k2 = sum(a * a for a in k)
+    kf = sum(f * a for f, a in zip(force, k))
+    moved = np.fft.ifftn(np.fft.fftn(psi0) * np.exp(-1j * (k2 * t + kf * t * t) / (2.0 * m)))
+    fr = sum(f * a for f, a in zip(force, axes))
+    return np.exp(1j * (fr * t - np.dot(force, force) * t ** 3 / (6.0 * m))) * moved
 
 
 def moments(grid, density):
@@ -116,6 +131,56 @@ class TestSplitOperator:
                              potential=0.03 * np.exp(-x ** 2))
         out = evolve_split_operator(psi, spec)
         assert out.norm() == pytest.approx(1.0, abs=1e-9)
+
+    def test_field_alone_matches_stark_closed_form(self):
+        grid, psi = packet(n=4096, extent=600.0, p0=1.0, sigma_p=0.25)
+        F, t = 0.01, 20.0
+        spec = EvolutionSpec(mass=1.0, t_start=0.0, t_end=t, n_steps=37,
+                             field=UniformField([F]))
+        out = evolve_split_operator(psi, spec).values
+        ref = stark_closed_form(psi.values, grid, 1.0, [F], t)
+        assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
+        # the field drift is exact, so the step count does not matter
+        one = EvolutionSpec(mass=1.0, t_start=0.0, t_end=t, n_steps=1,
+                            field=UniformField([F]))
+        assert np.array_equal(evolve_split_operator(psi, one).values, out)
+
+    def test_field_alone_2d_diagonal_force(self):
+        grid = Grid((128, 128), (0.5, 0.5), (-32.0, -32.0))
+        spec0 = GaussianPacketSpec(p0=[0.5, -0.3], sigma_p=[0.5, 0.5], r0=[0.0, 0.0])
+        psi = sample_gaussian(spec0, grid, POSITION)
+        force, t = [0.02, 0.02], 4.0
+        spec = EvolutionSpec(mass=1.0, t_start=0.0, t_end=t, n_steps=10,
+                             field=UniformField(force))
+        out = evolve_split_operator(psi, spec).values
+        ref = stark_closed_form(psi.values, grid, 1.0, force, t)
+        assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
+
+    def test_strong_field_weak_potential_few_steps(self):
+        # the guard measures the sampled potential alone: |F.x| reaches 5
+        # here, a phase of 2.5 per step that the exact field drift never kicks
+        grid, psi = packet(n=2048, extent=200.0, p0=0.0, sigma_p=0.5)
+        x = grid.axis(0)
+        F, t = 0.05, 10.0
+        spec = EvolutionSpec(mass=1.0, t_start=0.0, t_end=t, n_steps=20,
+                             field=UniformField([F]), potential=0.01 * np.exp(-x ** 2))
+        out = evolve_split_operator(psi, spec)
+        assert out.norm() == pytest.approx(1.0, abs=1e-9)
+        mean, _ = moments(grid, out.density())
+        assert mean == pytest.approx(F * t ** 2 / 2.0, abs=0.05)
+
+    def test_field_and_barrier_time_reversal(self):
+        grid = centered_grid_1d(240.0, 4096, 0.0)
+        x = grid.axis(0)
+        psi0 = sample_gaussian(GaussianPacketSpec(p0=[2.0], sigma_p=[0.5], r0=[-20.0]),
+                               grid, POSITION)
+        spec = EvolutionSpec(mass=1.0, t_start=0.0, t_end=20.0, n_steps=400,
+                             field=UniformField([4e-3]), potential=1.5 * np.exp(-(x - 5.0) ** 2))
+        forward = evolve_split_operator(psi0, spec)
+        back = evolve_split_operator(forward.with_values(np.conj(forward.values)), spec)
+        dev = np.max(np.abs(np.conj(back.values) - psi0.values))
+        assert dev < 1e-10 * np.max(np.abs(psi0.values))
+        assert np.max(np.abs(forward.values - psi0.values)) > 0.5 * np.max(np.abs(psi0.values))
 
     def test_step_size_guard(self):
         grid, psi = packet(n=2048, extent=200.0, p0=0.0, sigma_p=0.5)
@@ -272,6 +337,56 @@ class TestUniformFieldMap:
         r = float(rg.axis(0)[16])
         val = spa_integrate(phi, s_tilde, [r], t, 0.0)
         assert complex(field.values[16]) == pytest.approx(val, rel=1e-5)
+
+
+def it_field_uniform_loop(momentum_field, r_grid, t, tau, m, F=None):
+    """Per-point reference for it_field_uniform: one classical call per point."""
+    T = t - tau
+    d = r_grid.dimension
+    f = np.zeros(d) if F is None else np.atleast_1d(np.asarray(F, dtype=float))
+    axes = np.meshgrid(*r_grid.axes(), indexing="ij")
+    pts = np.stack([a.ravel() for a in axes], axis=-1)
+    zero = np.zeros(d)
+    p_star = np.stack([stationary_momentum(pt, zero, T, m, f) for pt in pts])
+    phi = interpolate_field(momentum_field, p_star, fill=0.0)
+    s = np.array([action_S_tilde_uniform(pts[k], p_star[k], T, m, f) for k in range(len(pts))])
+    amp = (m / T) ** (d / 2.0) * np.exp(-1j * np.pi * d / 4.0)
+    return (amp * np.exp(1j * s) * phi).reshape(tuple(r_grid.n))
+
+
+class TestUniformFieldMapVectorized:
+    # vecdot dots each point as np.dot does, so the arithmetic is unchanged
+    # and the values must agree exactly
+    @pytest.mark.parametrize("F", [None, [2e-3]])
+    def test_matches_loop_1d(self, F):
+        sigma_p, m, t = 0.5, 1.0, 100.0
+        spec = GaussianPacketSpec(p0=[0.3], sigma_p=[sigma_p], r0=[0.0])
+        phi = sample_gaussian(spec, centered_grid_1d(16 * sigma_p, 1024, 0.3), MOMENTUM)
+        rg = centered_grid_1d(300.0, 256, 30.0)
+        fast = it_field_uniform(phi, rg, t, 0.0, m, F).values
+        np.testing.assert_array_equal(fast, it_field_uniform_loop(phi, rg, t, 0.0, m, F))
+
+    @pytest.mark.parametrize("F", [None, [2e-3, -1e-3]])
+    def test_matches_loop_2d(self, F):
+        sigma_p, m, t = 0.5, 1.0, 100.0
+        spec = GaussianPacketSpec(p0=[0.3, -0.2], sigma_p=[sigma_p, sigma_p], r0=[0.0, 0.0])
+        pg = Grid((64, 64), (16 * sigma_p / 64,) * 2, (0.3 - 8 * sigma_p, -0.2 - 8 * sigma_p))
+        phi = sample_gaussian(spec, pg, MOMENTUM)
+        rg = Grid((24, 20), (12.0, 12.0), (-110.0, -130.0))
+        fast = it_field_uniform(phi, rg, t, 0.0, m, F).values
+        np.testing.assert_array_equal(fast, it_field_uniform_loop(phi, rg, t, 0.0, m, F))
+
+    def test_actions_accept_stacked_points(self):
+        r = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 4.0]])
+        f = [0.1, -0.2]
+        p = stationary_momentum(r, [0.5, 0.5], 3.0, 2.0, f)
+        assert p.shape == (3, 2)
+        s = action_S_tilde_uniform(r, p, 3.0, 2.0, f)
+        assert s.shape == (3,)
+        for k in range(3):
+            assert np.array_equal(p[k], stationary_momentum(r[k], [0.5, 0.5], 3.0, 2.0, f))
+            one = action_S_tilde_uniform(r[k], p[k], 3.0, 2.0, f)
+            assert isinstance(one, float) and one == s[k]
 
 
 class TestGalilean:
