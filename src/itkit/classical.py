@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UniformField
+from .core import UniformField, _write_csv
 from .errors import CausticError, DomainError, SingularityError
 
 FD_REL_STEP = 1e-5
@@ -262,24 +262,16 @@ def enumerate_trajectories_uniform_1d(
 def trajectories_to_csv(trajectories: list[Trajectory], path, comment: str | None = None) -> None:
     """Columns per axis: r', p', tau, r, p, t, then S, W, T."""
     d = len(trajectories[0].r_start) if trajectories else 1
-    cols = []
-    for i in range(d):
-        cols += [f"r_start_{i}_au", f"p_start_{i}_au"]
-    cols += ["t_start_au"]
-    for i in range(d):
-        cols += [f"r_end_{i}_au", f"p_end_{i}_au"]
-    cols += ["t_end_au", "action_S_au", "action_W_au", "duration_au"]
-    with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(cols) + "\n")
-        for tr in trajectories:
-            row = []
-            for i in range(d):
-                row += [tr.r_start[i], tr.p_start[i]]
-            row += [tr.t_start]
-            for i in range(d):
-                row += [tr.r_end[i], tr.p_end[i]]
-            w = tr.action + tr.energy * tr.duration
-            row += [tr.t_end, tr.action, w, tr.duration]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    names, cols = [], []
+    for end in ("start", "end"):
+        for i in range(d):
+            names += [f"r_{end}_{i}_au", f"p_{end}_{i}_au"]
+            cols += [[getattr(tr, f"r_{end}")[i] for tr in trajectories],
+                     [getattr(tr, f"p_{end}")[i] for tr in trajectories]]
+        names.append(f"t_{end}_au")
+        cols.append([getattr(tr, f"t_{end}") for tr in trajectories])
+    names += ["action_S_au", "action_W_au", "duration_au"]
+    cols += [[tr.action for tr in trajectories],
+             [tr.action + tr.energy * tr.duration for tr in trajectories],
+             [tr.duration for tr in trajectories]]
+    _write_csv(path, ",".join(names), cols, comment)

@@ -26,6 +26,7 @@ from .core import (
     CM_TO_BOHR,
     EV_TO_HARTREE,
     GaussianPacketSpec,
+    _write_csv,
     centered_grid_1d,
     sample_gaussian,
     to_momentum,
@@ -150,8 +151,12 @@ def cmd_it_check(cfg: Config, out_dir: Path, seed: int | None) -> int:
     times = cfg.vector("times", [250.0, 500.0, 1000.0, 2000.0])
     n = cfg.integer("n_points", 32768)
     cfg.reject_unknown()
+    try:
+        packet = GaussianPacketSpec(p0=[p0], sigma_p=[sigma_p], r0=[0.0])
+        pgrid = centered_grid_1d(40.0 * sigma_p, n, p0)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     sigma_x = 1.0 / (2.0 * sigma_p)
-    packet = GaussianPacketSpec(p0=[p0], sigma_p=[sigma_p], r0=[0.0])
     errors = []
     for t in times:
         if t * sigma_p / (mass * sigma_x) <= 10.0:
@@ -159,7 +164,6 @@ def cmd_it_check(cfg: Config, out_dir: Path, seed: int | None) -> int:
         center = p0 * t / mass
         spread = math.sqrt(sigma_x ** 2 + (sigma_p * t / mass) ** 2)
         xgrid = centered_grid_1d(30.0 * spread + 2.0 * abs(center), n, center)
-        pgrid = centered_grid_1d(40.0 * sigma_p, n, p0)
         phi = sample_gaussian(packet, pgrid, "momentum")
         psi0 = sample_gaussian(packet, xgrid, "position")
         exact_psi = to_position(
@@ -172,11 +176,8 @@ def cmd_it_check(cfg: Config, out_dir: Path, seed: int | None) -> int:
         errors.append((float(t), err))
         imaging.density_to_csv(xgrid, de, out_dir / f"exact_density_t{t:g}.csv", cfg.comment())
         imaging.density_to_csv(xgrid, di, out_dir / f"it_density_t{t:g}.csv", cfg.comment())
-    with open(out_dir / "error_vs_time.csv", "w") as fh:
-        fh.write(f"# {cfg.comment()}\n")
-        fh.write("time_au,max_relative_error\n")
-        for t, e in errors:
-            fh.write(f"{t:.17g},{e:.17g}\n")
+    _write_csv(out_dir / "error_vs_time.csv", "time_au,max_relative_error",
+               np.array(errors).reshape(-1, 2).T, cfg.comment())
     return EXIT_OK
 
 
@@ -249,25 +250,23 @@ def cmd_xsec(cfg: Config, out_dir: Path, seed: int | None) -> int:
     energy = cfg.real("energy")
     n_angles = cfg.integer("n_angles", 19)
     cfg.reject_unknown()
+    if n_angles < 1:
+        raise ConfigError(f"n_angles must be at least 1, got {n_angles}")
     p = math.sqrt(2.0 * mass * energy)
 
     def potential(x, y, z):
         return v0 * np.exp(-(x * x + y * y + z * z) / (a * a))
 
     angles = np.linspace(0.0, 180.0, n_angles)
-    with open(out_dir / "xsec.csv", "w") as fh:
-        fh.write(f"# {cfg.comment()}\n")
-        fh.write("angle_deg,f_re,f_im,dsigma_domega_au\n")
-        for th in angles:
-            rad = math.radians(th)
-            p_in = np.array([0.0, 0.0, p])
-            p_out = p * np.array([math.sin(rad), 0.0, math.cos(rad)])
-            if v0 == 0.0:
-                f = 0.0 + 0.0j
-            else:
-                f = scatter.born_amplitude(potential, p_in, p_out, mass,
-                                           extent=max(14.0 * a, 14.0))
-            fh.write(f"{th:.17g},{f.real:.17g},{f.imag:.17g},{scatter.cross_section(f):.17g}\n")
+    p_in = np.array([0.0, 0.0, p])
+    amps = np.zeros(n_angles, dtype=complex)
+    for k, th in enumerate(angles if v0 != 0.0 else []):
+        rad = math.radians(th)
+        p_out = p * np.array([math.sin(rad), 0.0, math.cos(rad)])
+        amps[k] = scatter.born_amplitude(potential, p_in, p_out, mass, extent=max(14.0 * a, 14.0))
+    _write_csv(out_dir / "xsec.csv", "angle_deg,f_re,f_im,dsigma_domega_au",
+               [angles, amps.real, amps.imag, [scatter.cross_section(f) for f in amps]],
+               cfg.comment())
     return EXIT_OK
 
 
@@ -280,6 +279,8 @@ def cmd_greens(cfg: Config, out_dir: Path, seed: int | None) -> int:
     mu = cfg.real("mu", 1.0)
     mass = cfg.real("mass", 1.0)
     cfg.reject_unknown()
+    if n_r < 1:
+        raise ConfigError(f"n_r must be at least 1, got {n_r}")
     radii = np.linspace(r_min, r_max, n_r)
     rows = []
     for R in radii:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, least_squares
 
+from .core import _write_csv
 from .errors import DomainError, FitError, InfeasibleError
 
 NEWTON_TOL = 1e-12
@@ -164,7 +165,12 @@ def invert_delays_numeric(obs: DelayObservation) -> np.ndarray:
     t1 = m[0] * r[0]
 
     def momenta(p1: float) -> np.ndarray:
-        rest = m[1:] * r[1:] / (obs.delays + t1 / p1)
+        # t1 / p1 overflows at a subnormal p1, and delays * p1 at a delay
+        # near the float limit: multiply through by p1 only when it is small
+        if p1 < 1.0:
+            rest = m[1:] * r[1:] * p1 / (obs.delays * p1 + t1)
+        else:
+            rest = m[1:] * r[1:] / (obs.delays + t1 / p1)
         return np.concatenate(([p1], rest))
 
     def h(p1: float) -> float:
@@ -177,14 +183,13 @@ def invert_delays_numeric(obs: DelayObservation) -> np.ndarray:
     earliest = -float(np.min(obs.delays))
     if earliest * hi > t1:
         hi = t1 / earliest
-    # back off the bound until h is finite and positive
+    # back off the bound until h is finite and positive, while it stays positive
     shrink = 1e-12
-    while shrink < 0.5 and not (math.isfinite(h(hi * (1.0 - shrink)))
-                                and h(hi * (1.0 - shrink)) > 0.0):
+    while not (math.isfinite(h(hi * (1.0 - shrink))) and h(hi * (1.0 - shrink)) > 0.0):
         shrink *= 4.0
+        if shrink >= 0.5:
+            raise InfeasibleError("no positive-momentum solution brackets the energy shell")
     hi_eff = hi * (1.0 - shrink)
-    if not (math.isfinite(h(hi_eff)) and h(hi_eff) > 0.0):
-        raise InfeasibleError("no positive-momentum solution brackets the energy shell")
     lo = hi_eff * 1e-12
     if h(lo) >= 0.0:
         raise InfeasibleError("no positive-momentum solution brackets the energy shell")
@@ -362,12 +367,9 @@ def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
 # serialization
 
 def dataset_to_csv(dataset: CoincidenceDataset, path, comment: str | None = None) -> None:
-    with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write("delta_t_au,count\n")
-        for dt, c in zip(dataset.delta_t, dataset.counts):
-            fh.write(f"{dt:.17g},{int(round(c))}\n")
+    # np.rint rounds half to even, like round(); %d then prints the integer
+    _write_csv(path, "delta_t_au,count", [dataset.delta_t, np.rint(dataset.counts)],
+               comment, formats=["%.17g", "%d"])
 
 
 def dataset_from_csv(path, geometry: PairGeometry, energy: float) -> CoincidenceDataset:
@@ -384,12 +386,7 @@ def dataset_from_csv(path, geometry: PairGeometry, energy: float) -> Coincidence
 
 
 def curve_to_csv(delta_t, p1, p2, prob, path, comment: str | None = None) -> None:
-    with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write("delta_t_au,p1_au,p2_au,probability\n")
-        for row in zip(delta_t, p1, p2, prob):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    _write_csv(path, "delta_t_au,p1_au,p2_au,probability", [delta_t, p1, p2, prob], comment)
 
 
 def fit_report_to_json(report: dict, path) -> None:

@@ -18,6 +18,7 @@ from .errors import (
     AliasingError,
     CoverageError,
     DegenerateInputError,
+    DomainError,
     RepresentationError,
 )
 
@@ -60,7 +61,7 @@ class UniformField:
     def __post_init__(self):
         f = np.atleast_1d(np.asarray(self.force, dtype=float))
         if not np.all(np.isfinite(f)):
-            raise ValueError("force must be finite")
+            raise DomainError("force must be finite")
         f.setflags(write=False)
         object.__setattr__(self, "force", f)
 
@@ -86,11 +87,11 @@ class Grid:
         spacing = tuple(float(v) for v in np.atleast_1d(self.spacing))
         origin = tuple(float(v) for v in np.atleast_1d(self.origin))
         if not (len(n) == len(spacing) == len(origin)):
-            raise ValueError("n, spacing and origin must have equal length")
+            raise DomainError("n, spacing and origin must have equal length")
         if any(v < 8 for v in n):
-            raise ValueError("need at least 8 points per axis")
-        if any(v <= 0 for v in spacing):
-            raise ValueError("spacing must be positive")
+            raise DomainError("need at least 8 points per axis")
+        if not all(v > 0 for v in spacing):
+            raise DomainError("spacing must be positive")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
@@ -224,13 +225,7 @@ def to_position(field: ComplexField, position_grid: Grid | None = None) -> Compl
     if field.representation != MOMENTUM:
         raise RepresentationError("to_position expects a momentum-representation field")
     if position_grid is None:
-        n, dx, x0 = [], [], []
-        for ni, dpi in zip(field.grid.n, field.grid.spacing):
-            dxi = 2.0 * np.pi * HBAR / (ni * dpi)
-            n.append(ni)
-            dx.append(dxi)
-            x0.append(-dxi * (ni // 2))
-        position_grid = Grid(tuple(n), tuple(dx), tuple(x0))
+        position_grid = field.grid.conjugate()
     vals = field.values
     for ax in range(field.grid.dimension):
         p = field.grid.axis(ax)
@@ -257,8 +252,8 @@ class GaussianPacketSpec:
         p0 = np.atleast_1d(np.asarray(self.p0, dtype=float))
         sp = np.broadcast_to(np.asarray(self.sigma_p, dtype=float), p0.shape).copy()
         r0 = np.broadcast_to(np.asarray(self.r0, dtype=float), p0.shape).copy()
-        if np.any(sp <= 0):
-            raise ValueError("sigma_p must be positive")
+        if not np.all(sp > 0):
+            raise DomainError("sigma_p must be positive")
         for a in (p0, sp, r0):
             a.setflags(write=False)
         object.__setattr__(self, "p0", p0)
@@ -312,17 +307,36 @@ def sample_gaussian(spec: GaussianPacketSpec, grid: Grid, representation: str = 
 # ---------------------------------------------------------------------------
 # serialization
 
+# rows per ``%`` operation: bounds the text held in memory at once
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(path, header: str, columns, comment: str | None = None,
+               formats: list[str] | None = None) -> None:
+    """Write equal-length ``columns`` as CSV under an optional ``# comment`` line.
+
+    Values are written as ``%.17g``, which round-trips every float64 exactly,
+    unless ``formats`` gives a column its own conversion; a ``%s`` column must
+    be an object array.  Each block of rows is formatted by one ``%``.
+    """
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join(formats or ["%.17g"] * len(columns)) + "\n"
+    n_rows = len(columns[0])
+    with open(path, "w") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(header + "\n")
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 def field_to_csv(field: ComplexField, path, comment: str | None = None) -> None:
     """Columns: one coordinate per axis, then re, im."""
     axes = np.meshgrid(*field.grid.axes(), indexing="ij")
     cols = [a.ravel() for a in axes] + [field.values.real.ravel(), field.values.imag.ravel()]
     header = ",".join(f"x{i}" for i in range(field.grid.dimension)) + ",re,im"
-    with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    _write_csv(path, header, cols, comment)
 
 
 _MAGIC = b"ITKF"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import van_vleck_time
-from .core import HBAR, MOMENTUM, POSITION, ComplexField, Grid
+from .core import HBAR, MOMENTUM, POSITION, ComplexField, Grid, _write_csv
 from .errors import CoverageError, DomainError, RepresentationError, ShapeError
 from .propagate import interpolate_field
 
@@ -220,9 +220,4 @@ def density_to_csv(grid: Grid, density: np.ndarray, path, comment: str | None = 
     axes = np.meshgrid(*grid.axes(), indexing="ij")
     cols = [a.ravel() for a in axes] + [np.asarray(density).ravel()]
     header = ",".join(f"x{i}" for i in range(grid.dimension)) + ",density"
-    with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    _write_csv(path, header, cols, comment)

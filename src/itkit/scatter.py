@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import hankel_h1
-from .core import HBAR
+from .core import HBAR, _write_csv
 from .errors import CausticError, CoverageError, DegenerateInputError, DomainError, SingularityError
 
 TWO_PI = 2.0 * math.pi
@@ -84,18 +84,19 @@ def born_amplitude(potential, p_in, p_out, m: float = 1.0,
     q = p_in - p_out
     ax = np.linspace(-extent / 2.0, extent / 2.0, n)
     x, y, z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
-    v = potential(x, y, z)
-    edge = max(abs(float(np.max(np.abs(v[0, :, :])))) if np.ndim(v) == 3 else 0.0, 0.0)
+    v = np.broadcast_to(potential(x, y, z), (n, n, n))
     if not np.all(np.isfinite(v)):
         raise CoverageError("potential is not finite on the quadrature grid")
-    if np.max(np.abs(v)) > 0 and edge > 1e-10 * np.max(np.abs(v)):
+    peak = np.max(np.abs(v))
+    edge = max(np.max(np.abs(np.take(v, i, axis=a))) for a in range(3) for i in (0, -1))
+    if peak > 0 and edge > 1e-10 * peak:
         raise CoverageError("potential has not decayed at the quadrature boundary")
-    phase = np.exp(1j * (q[0] * x + q[1] * y + q[2] * z) / HBAR)
+    # e^{i q.r} separates: one trapezoid-weighted phase vector per axis
     w = np.ones(n)
     w[0] = w[-1] = 0.5
-    weight = w[:, None, None] * w[None, :, None] * w[None, None, :]
+    ex, ey, ez = (w * np.exp(1j * qi * ax / HBAR) for qi in q)
     dv = (ax[1] - ax[0]) ** 3
-    integral = np.sum(v * phase * weight) * dv
+    integral = ((v @ ez) @ ey) @ ex * dv
     return -(m / (TWO_PI * HBAR ** 2)) * integral
 
 
@@ -257,9 +258,8 @@ def n_particle_amplitude(matrix_element: complex, config: HyperConfig) -> comple
 
 def green_scan_to_csv(rows, path, comment: str | None = None) -> None:
     """rows: iterable of (R, E, value: complex, form: str)."""
-    with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write("r_au,energy_au,re,im,form\n")
-        for R, E, val, form in rows:
-            fh.write(f"{R:.17g},{E:.17g},{val.real:.17g},{val.imag:.17g},{form}\n")
+    rows = list(rows)
+    numbers = np.array([(R, E, v.real, v.imag) for R, E, v, _ in rows], dtype=float)
+    forms = np.array([form for *_, form in rows], dtype=object)
+    _write_csv(path, "r_au,energy_au,re,im,form", [*numbers.reshape(-1, 4).T, forms], comment,
+               formats=["%.17g"] * 4 + ["%s"])

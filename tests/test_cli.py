@@ -230,6 +230,23 @@ class TestGreensCommand:
         assert errs[-1] < errs[0]
 
 
+class TestInvalidInputExitCodes:
+    @pytest.mark.parametrize("command, config", [
+        ("it-check", "sigma_p = -1\n"),
+        ("it-check", "sigma_p = 0\n"),
+        ("it-check", "n_points = 4\n"),
+        ("greens", "energy = 0.5\nr_min = 1\nr_max = 10\nn_r = 0\n"),
+        ("greens", "energy = 0.5\nr_min = 1\nr_max = 10\nn_r = -3\n"),
+        ("xsec", "energy = 0.5\nn_angles = 0\n"),
+        ("xsec", "energy = 0.5\nn_angles = -1\n"),
+    ])
+    def test_config_error(self, tmp_path, capsys, command, config):
+        code, out = run(tmp_path, command, config)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not any(out.glob("*.csv"))
+
+
 class TestCsvComments:
     def test_outputs_record_config(self, tmp_path):
         _, out = run(tmp_path, "xsec", "v0 = 0.01\nenergy = 0.5\n")

@@ -125,13 +125,16 @@ class TestNumericInversion:
         assert np.sum(p ** 2 / 2.0) == pytest.approx(1.5, abs=1e-9)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @given(st.floats(min_value=-1e6, max_value=1e6))
+    @given(st.floats(min_value=-1.7e308, max_value=1.7e308))
     @example(-1e-310)
     @example(-5e-324)
     @example(1e-310)
+    @example(-1.7e308)
+    @example(1.7e308)
     @settings(max_examples=50, deadline=None)
     def test_no_numerical_warning(self, delay):
-        # the momentum bound t1 / |delay| once overflowed for tiny delays
+        # the momentum bound t1 / |delay| once overflowed for tiny delays,
+        # and t1 / p1 at the subnormal lower bracket for huge negative ones
         obs = DelayObservation([1.0, 1.0], [1.0, 1.0], 1.0, [delay])
         try:
             p = invert_delays_numeric(obs)
@@ -139,6 +142,42 @@ class TestNumericInversion:
             return
         assert np.all(p > 0)
         assert np.sum(p ** 2 / 2.0) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("magnitude", [1e100, 1e200, 1e300, 1.7e308])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("energy", [1e-8, 1.0, 1e8])
+    def test_huge_delays_typed(self, magnitude, sign, energy):
+        # valid momenta or InfeasibleError, never an overflow warning
+        for masses, distances, delays in [([1.0, 1.0], [1.0, 1.0], [sign * magnitude]),
+                                          ([1.0, 2.0, 1.5], [1.0, 1.3, 0.7],
+                                           [sign * magnitude, -sign * magnitude / 3])]:
+            obs = DelayObservation(masses, distances, energy, delays)
+            try:
+                p = invert_delays_numeric(obs)
+            except InfeasibleError:
+                continue
+            assert np.all(p > 0)
+            assert np.sum(p ** 2 / (2.0 * obs.masses)) == pytest.approx(energy, rel=1e-9)
+
+    @pytest.mark.parametrize("delay, expected", [
+        (-5.0, [0.15842649052667418, 1.981592993170999, 0.1315996873507076]),
+        (-4.0, [0.1880677584802007, 1.9738352756544404, 0.15788130277828322]),
+        (-3.0, [0.2311297432811352, 1.9599354981041157, 0.19712482114062058]),
+        (-2.0, [0.2988454218588703, 1.9313457938996605, 0.2616575797498671]),
+        (-1.0, [0.4168945000704341, 1.8588843705196703, 0.38433076443969727]),
+        (0.0, [0.6253053994807224, 1.6257940386498781, 0.6565706694547584]),
+        (1.0, [0.7659273066685602, 1.1276857149318755, 1.0799429325677847]),
+        (2.0, [0.6948182274853141, 0.7559841948778864, 1.3591200715729188]),
+        (3.0, [0.588305732036967, 0.5532154472646138, 1.5004362866045098]),
+        (4.0, [0.5001125092817327, 0.43336583113964966, 1.5760636914130006]),
+        (5.0, [0.4320202777509777, 0.35544831762347817, 1.6202716098055703]),
+    ])
+    def test_pinned_three_fragment_values(self, delay, expected):
+        # values of the unscaled delay equations, before they were multiplied
+        # through by p1 at small p1
+        obs = DelayObservation([1.0, 2.0, 1.5], [1.0, 1.3, 0.7], 1.0, [delay, -delay / 3])
+        np.testing.assert_allclose(invert_delays_numeric(obs), expected, rtol=1e-14, atol=0)
 
     def test_observation_validation(self):
         with pytest.raises(DomainError):

@@ -7,6 +7,7 @@ from itkit.core import (
     ComplexField,
     GaussianPacketSpec,
     Grid,
+    UniformField,
     centered_grid_1d,
     field_from_binary,
     field_to_binary,
@@ -20,6 +21,7 @@ from itkit.errors import (
     AliasingError,
     CoverageError,
     DegenerateInputError,
+    DomainError,
     RepresentationError,
 )
 
@@ -43,6 +45,19 @@ class TestGrid:
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError):
             Grid((64,), (0.0,), (0.0,))
+
+    @pytest.mark.parametrize("make", [
+        lambda: Grid((4,), (0.1,), (0.0,)),
+        lambda: Grid((64,), (float("nan"),), (0.0,)),
+        lambda: Grid((64, 64), (0.1,), (0.0,)),
+        lambda: GaussianPacketSpec(p0=[1.0], sigma_p=[-1.0]),
+        lambda: GaussianPacketSpec(p0=[1.0], sigma_p=[float("nan")]),
+        lambda: UniformField([float("inf")]),
+    ])
+    def test_validators_raise_domain_error(self, make):
+        # a DomainError is an ItkitError, which the CLI maps to an exit code
+        with pytest.raises(DomainError):
+            make()
 
     def test_axis_origin(self):
         grid = Grid((64,), (0.5,), (-16.0,))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from itkit.classical import characteristic_action_W_free, density_D_free, time_of_flight_free, van_vleck_time
-from itkit.errors import CausticError, DegenerateInputError, DomainError, SingularityError
+from itkit.errors import CausticError, CoverageError, DegenerateInputError, DomainError, SingularityError
 from itkit.scatter import (
     amplitude_from_momentum_wfn,
     born_amplitude,
@@ -29,6 +29,19 @@ BORN_GAUSSIAN_Q0 = -0.01 * math.pi ** 0.5 / 2.0  # -(m V0 a^3 sqrt(pi) / 2) at V
 
 def gaussian_potential(x, y, z):
     return 0.01 * np.exp(-(x ** 2 + y ** 2 + z ** 2))
+
+
+def born_dense_reference(potential, p_in, p_out, m=1.0, extent=14.0, n=64):
+    """The n^3 phase-and-weight sum that the separable quadrature replaced."""
+    q = np.asarray(p_in, dtype=float) - np.asarray(p_out, dtype=float)
+    ax = np.linspace(-extent / 2.0, extent / 2.0, n)
+    x, y, z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
+    phase = np.exp(1j * (q[0] * x + q[1] * y + q[2] * z))
+    w = np.ones(n)
+    w[0] = w[-1] = 0.5
+    weight = w[:, None, None] * w[None, :, None] * w[None, None, :]
+    integral = np.sum(potential(x, y, z) * phase * weight) * (ax[1] - ax[0]) ** 3
+    return -(m / (2.0 * math.pi)) * integral
 
 
 class TestGreenFree:
@@ -156,6 +169,39 @@ class TestBorn:
     def test_inelastic_rejected(self):
         with pytest.raises(DomainError):
             born_amplitude(gaussian_potential, [0, 0, 1.0], [0, 0, 2.0])
+
+    def test_matches_dense_sum(self):
+        # criterion 6's 19 angles, off-centre so that no component vanishes
+        def potential(x, y, z):
+            return 0.01 * np.exp(-((x - 0.3) ** 2 + (y + 0.2) ** 2 + (z - 0.1) ** 2))
+
+        p_in = np.array([0.0, 0.0, 1.0])
+        for th in np.linspace(0.0, math.pi, 19):
+            p_out = np.array([math.sin(th), 0.0, math.cos(th)])
+            ref = born_dense_reference(potential, p_in, p_out)
+            assert abs(born_amplitude(potential, p_in, p_out) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("side", [-6.5, 6.5])
+    def test_bump_at_each_face_rejected(self, axis, side):
+        centre = np.zeros(3)
+        centre[axis] = side
+
+        def bump(x, y, z):
+            return 0.01 * np.exp(-((x - centre[0]) ** 2 + (y - centre[1]) ** 2
+                                   + (z - centre[2]) ** 2))
+
+        with pytest.raises(CoverageError):
+            born_amplitude(bump, [0, 0, 1.0], [1.0, 0, 0])
+
+    @pytest.mark.parametrize("potential", [
+        lambda x, y, z: 0.01 + 0.0 * x,  # constant, broadcast shape (n, 1, 1)
+        lambda x, y, z: 0.01,  # scalar
+        lambda x, y, z: 0.01 * np.exp(-x * x),  # decays along x only
+    ])
+    def test_broadcast_potential_checked(self, potential):
+        with pytest.raises(CoverageError):
+            born_amplitude(potential, [0, 0, 1.0], [1.0, 0, 0])
 
 
 class TestCrossSection:
