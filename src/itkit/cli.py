@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,15 @@ EXIT_NUMERICAL = 4
 
 class ConfigError(Exception):
     pass
+
+
+@contextmanager
+def _config_values():
+    """Report a library validator's DomainError on config values as a config error."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config(path: Path) -> dict[str, str]:
@@ -77,6 +87,8 @@ class Config:
         return self.raw.get(key, default)
 
     def _convert(self, key: str, value: float) -> float:
+        if not math.isfinite(value):
+            raise ConfigError(f"key '{key}': not a finite number: {value!r}")
         if self.ev and key == "energy":
             return value * EV_TO_HARTREE
         if self.cm and ("distance" in key or key == "r_min" or key == "r_max"):
@@ -151,11 +163,13 @@ def cmd_it_check(cfg: Config, out_dir: Path, seed: int | None) -> int:
     times = cfg.vector("times", [250.0, 500.0, 1000.0, 2000.0])
     n = cfg.integer("n_points", 32768)
     cfg.reject_unknown()
-    try:
+    if mass <= 0:
+        raise ConfigError(f"mass must be positive, got {mass:g}")
+    if np.any(times <= 0):
+        raise ConfigError(f"times must be positive, got {times.min():g}")
+    with _config_values():
         packet = GaussianPacketSpec(p0=[p0], sigma_p=[sigma_p], r0=[0.0])
         pgrid = centered_grid_1d(40.0 * sigma_p, n, p0)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
     sigma_x = 1.0 / (2.0 * sigma_p)
     errors = []
     for t in times:
@@ -210,7 +224,10 @@ def cmd_coincidence(cfg: Config, out_dir: Path, seed: int | None) -> int:
     mass = cfg.real("mass", 1.0)
     distance = cfg.real("distance")
     energy = cfg.real("energy")
-    geometry = coin.PairGeometry(mass, distance)
+    with _config_values():
+        geometry = coin.PairGeometry(mass, distance)
+    if energy <= 0:
+        raise InfeasibleError(f"energy must be positive, got {energy:g}")
     if mode == "simulate":
         sigma = cfg.real("sigma")
         big_sigma = cfg.real("Sigma")
@@ -218,7 +235,12 @@ def cmd_coincidence(cfg: Config, out_dir: Path, seed: int | None) -> int:
         n_bins = cfg.integer("n_bins", 121)
         n_events = cfg.real("n_events", 0.0)
         cfg.reject_unknown()
-        params = coin.PairModelParams(sigma, big_sigma)
+        if tau_max <= 0:
+            raise ConfigError(f"tau_max must be positive, got {tau_max:g}")
+        if n_bins < 1:
+            raise ConfigError(f"n_bins must be at least 1, got {n_bins}")
+        with _config_values():
+            params = coin.PairModelParams(sigma, big_sigma)
         t0 = coin.characteristic_time(mass, distance, energy)
         grid = np.linspace(-tau_max * t0, tau_max * t0, n_bins)
         dt, p1, p2, prob = coin.coincidence_curve(geometry, params, energy, grid)
@@ -235,8 +257,10 @@ def cmd_coincidence(cfg: Config, out_dir: Path, seed: int | None) -> int:
         cfg.reject_unknown()
         if not data_path.is_file():
             raise ConfigError(f"data file not found: {data_path}")
-        ds = coin.dataset_from_csv(data_path, geometry, energy)
-        params, scale, report = coin.fit_pair_model(ds, coin.PairModelParams(sigma0, big0))
+        with _config_values():
+            initial = coin.PairModelParams(sigma0, big0)
+            ds = coin.dataset_from_csv(data_path, geometry, energy)
+        params, scale, report = coin.fit_pair_model(ds, initial)
         coin.fit_report_to_json(report, out_dir / "fit.json")
         print(json.dumps({"sigma": params.sigma, "Sigma": params.Sigma, "scale": scale}))
         return EXIT_OK
@@ -252,6 +276,10 @@ def cmd_xsec(cfg: Config, out_dir: Path, seed: int | None) -> int:
     cfg.reject_unknown()
     if n_angles < 1:
         raise ConfigError(f"n_angles must be at least 1, got {n_angles}")
+    if mass <= 0 or a <= 0:
+        raise ConfigError(f"mass and a must be positive, got mass={mass:g}, a={a:g}")
+    if energy <= 0:
+        raise InfeasibleError(f"energy must be positive, got {energy:g}")
     p = math.sqrt(2.0 * mass * energy)
 
     def potential(x, y, z):

@@ -2,10 +2,10 @@
 
 Arrival-time differences at fixed total energy pin down the initial
 fragment momenta: the two-particle case has a closed form, the general
-case a damped Newton solver.  A two-Gaussian momentum model (relative
-width sigma, center-of-mass width Sigma) maps through the imaging
-relations to a coincidence-rate curve P(DeltaT), which can be synthesized
-with Poisson noise and fit back.
+case is a bracketed Brent root of the monotone energy equation.  A
+two-Gaussian momentum model (relative width sigma, center-of-mass width
+Sigma) maps through the imaging relations to a coincidence-rate curve
+P(DeltaT), which can be synthesized with Poisson noise and fit back.
 
 In strict back-to-back geometry the curve depends on (sigma, Sigma) only
 through kappa = 1/Sigma^2 - 1/(4 sigma^2) plus an overall scale, so the
@@ -112,33 +112,46 @@ def characteristic_time(m: float, r: float, E: float) -> float:
     return math.sqrt(m * r * r / E)
 
 
-def invert_delays_pair(tau: float, m: float = 1.0, E: float = 1.0) -> tuple[float, float]:
+def invert_delays_pair(tau, m: float = 1.0, E: float = 1.0):
     """Momenta (p1', p2') of an equal-mass pair from the scaled delay tau.
 
     tau = DeltaT / sqrt(m r^2 / E) with DeltaT = m r / p2' - m r / p1',
-    subject to p1'^2 + p2'^2 = 2 m E.  Closed form:
+    subject to p1'^2 + p2'^2 = 2 m E.  With s = sqrt(1 + 2 tau^2),
+    h = tau / (1 + s) and u = sqrt(2 + 4/(1 + s)) / 2 the closed form is
 
-        p_{1,2}' = sqrt(mE) (∓1 ± s + u) / (2 tau),
-        s = sqrt(1 + 2 tau^2),  u = sqrt(2) sqrt(tau^2 + s - 1),
+        p_{1,2}' = sqrt(mE) (u ± h),
 
-    evaluated at |tau| (negative delays swap the pair).  Dividing the
-    bracket by tau analytically, (s - 1)/(2 tau) = tau/(1 + s) and
-    u/(2 tau) = sqrt(2 + 4/(1 + s))/2, keeps the formula stable down to
-    tau = 0, where both momenta reduce to sqrt(mE).
+    stable down to tau = 0, where both momenta reduce to sqrt(mE).  The
+    smaller momentum is taken from the exact identity
+    u - |h| = 2 / ((1 + s)(u + |h|)), which avoids the cancellation of
+    u - |h| at large |tau|, and for |tau| > 1 every term is divided through
+    by a power of two near |tau| so that s never overflows.
+
+    ``tau`` may be a scalar, giving a tuple of two floats, or an array,
+    giving two arrays of its shape.  Every element must be finite.
     """
     if m <= 0 or E <= 0:
         raise DomainError("m and E must be positive")
-    if not math.isfinite(tau):
+    t = np.asarray(tau, dtype=float)
+    if not np.all(np.isfinite(t)):
         raise DomainError("tau must be finite")
     p0 = math.sqrt(m * E)
-    a = abs(tau)
-    s = math.sqrt(1.0 + 2.0 * a * a)
-    half_s_minus_1 = a / (1.0 + s)
-    half_u = 0.5 * math.sqrt(2.0 + 4.0 / (1.0 + s))
-    p1 = p0 * (half_s_minus_1 + half_u)
-    p2 = p0 * (-half_s_minus_1 + half_u)
-    if tau < 0:
-        p1, p2 = p2, p1
+    a = np.abs(t)
+    # a power of two near |tau| (1 for |tau| <= 1): dividing by it is exact,
+    # so the scaled terms carry the bits of the unscaled ones
+    c = np.ldexp(1.0, np.maximum(np.frexp(a)[1] - 1, 0))
+    q = a / c
+    w = 1.0 / c + np.sqrt(1.0 / c / c + 2.0 * q * q)  # (1 + s) / c
+    h = q / w  # |h|
+    u = 0.5 * np.sqrt(2.0 + 4.0 / c / w)
+    big = u + h
+    larger = p0 * big
+    smaller = p0 * (2.0 / w / big / c)
+    swap = t < 0
+    p1 = np.where(swap, smaller, larger)
+    p2 = np.where(swap, larger, smaller)
+    if t.ndim == 0:
+        return float(p1), float(p2)
     return p1, p2
 
 
@@ -159,28 +172,34 @@ def invert_delays_numeric(obs: DelayObservation) -> np.ndarray:
     and that root is the branch continuously connected to the equal-energy
     point.
     """
-    m = obs.masses
-    r = obs.distances
-    E = obs.energy
+    # plain floats: Brent evaluates h a few dozen times on 2-3 fragments,
+    # where numpy's per-call overhead would dominate
+    m = obs.masses.tolist()
+    r = obs.distances.tolist()
+    E = float(obs.energy)
     t1 = m[0] * r[0]
+    mr = [mn * rn for mn, rn in zip(m[1:], r[1:])]
+    delays = obs.delays.tolist()
+    two_m = [2.0 * mn for mn in m]
 
-    def momenta(p1: float) -> np.ndarray:
+    def momenta(p1: float) -> list[float]:
         # t1 / p1 overflows at a subnormal p1, and delays * p1 at a delay
         # near the float limit: multiply through by p1 only when it is small
         if p1 < 1.0:
-            rest = m[1:] * r[1:] * p1 / (obs.delays * p1 + t1)
-        else:
-            rest = m[1:] * r[1:] / (obs.delays + t1 / p1)
-        return np.concatenate(([p1], rest))
+            return [p1] + [k * p1 / (d * p1 + t1) for k, d in zip(mr, delays)]
+        return [p1] + [k / (d + t1 / p1) for k, d in zip(mr, delays)]
 
     def h(p1: float) -> float:
-        p = momenta(p1)
-        return float(np.sum(p * p / (2.0 * m))) - E
+        # summed in order, as np.sum does for fewer than 8 terms
+        total = 0.0
+        for pn, tm in zip(momenta(p1), two_m):
+            total += pn * pn / tm
+        return total - E
 
     # upper limit: each denominator DeltaT_n + t1/p1 must stay positive
     hi = math.sqrt(2.0 * m[0] * E)
     # compared before dividing: t1 / |DeltaT| overflows for tiny delays
-    earliest = -float(np.min(obs.delays))
+    earliest = -min(delays)
     if earliest * hi > t1:
         hi = t1 / earliest
     # back off the bound until h is finite and positive, while it stays positive
@@ -195,17 +214,19 @@ def invert_delays_numeric(obs: DelayObservation) -> np.ndarray:
         raise InfeasibleError("no positive-momentum solution brackets the energy shell")
     p1 = brentq(h, lo, hi_eff, xtol=1e-300, rtol=8.881784197001252e-16,
                 maxiter=NEWTON_MAX_ITER)
-    p = momenta(p1)
+    p = np.array(momenta(p1))
     if np.any(p <= 0) or abs(h(p1)) > NEWTON_TOL * max(1.0, E):
         raise InfeasibleError("delay inversion did not converge")
     return p
 
 
-def pair_model_momentum_density(p1_vec, p2_vec, params: PairModelParams) -> float:
+def pair_model_momentum_density(p1_vec, p2_vec, params: PairModelParams):
     """Two-Gaussian pair momentum density at 3-vectors (p1', p2'):
 
     |Phi|^2 = N(p'; sigma) N(P'; Sigma) with relative p' = (p1' - p2')/2 and
-    total P' = p1' + p2', each a normalized 3-D Gaussian.
+    total P' = p1' + p2', each a normalized 3-D Gaussian.  Vectors may be
+    stacked on leading axes (shape (..., 3)), giving an array of densities;
+    a single pair gives a float.
     """
     p1 = np.atleast_1d(np.asarray(p1_vec, dtype=float))
     p2 = np.atleast_1d(np.asarray(p2_vec, dtype=float))
@@ -214,9 +235,9 @@ def pair_model_momentum_density(p1_vec, p2_vec, params: PairModelParams) -> floa
     s2 = params.sigma ** 2
     S2 = params.Sigma ** 2
     norm = (2.0 * math.pi * s2) ** -1.5 * (2.0 * math.pi * S2) ** -1.5
-    return float(norm * math.exp(
-        -float(np.dot(rel, rel)) / (2.0 * s2) - float(np.dot(tot, tot)) / (2.0 * S2)
-    ))
+    dens = norm * np.exp(-np.sum(rel * rel, axis=-1) / (2.0 * s2)
+                         - np.sum(tot * tot, axis=-1) / (2.0 * S2))
+    return float(dens) if dens.ndim == 0 else dens
 
 
 def coincidence_curve(geometry: PairGeometry, params: PairModelParams, E: float,
@@ -231,15 +252,10 @@ def coincidence_curve(geometry: PairGeometry, params: PairModelParams, E: float,
     """
     delta_t = np.atleast_1d(np.asarray(delta_t, dtype=float))
     t0 = characteristic_time(geometry.mass, geometry.distance, E)
+    p1, p2 = invert_delays_pair(delta_t / t0, geometry.mass, E)
     zhat = np.array([0.0, 0.0, 1.0])
-    p1 = np.empty_like(delta_t)
-    p2 = np.empty_like(delta_t)
-    prob = np.empty_like(delta_t)
-    for k, dt in enumerate(delta_t):
-        a, b = invert_delays_pair(dt / t0, geometry.mass, E)
-        p1[k], p2[k] = a, b
-        dens = pair_model_momentum_density(a * zhat, -b * zhat, params)
-        prob[k] = (a * b / geometry.distance ** 2) ** 3 * dens
+    dens = pair_model_momentum_density(p1[:, None] * zhat, -p2[:, None] * zhat, params)
+    prob = (p1 * p2 / geometry.distance ** 2) ** 3 * dens
     if normalize and prob.max() > 0:
         prob = prob / prob.max()
     return delta_t, p1, p2, prob
@@ -272,11 +288,8 @@ def _reduced_curve(dataset: CoincidenceDataset, kappa: float, log_scale: float) 
     """
     g = dataset.geometry
     t0 = characteristic_time(g.mass, g.distance, dataset.energy)
-    out = np.empty_like(dataset.delta_t)
-    for k, dt in enumerate(dataset.delta_t):
-        p1, p2 = invert_delays_pair(dt / t0, g.mass, dataset.energy)
-        out[k] = math.exp(log_scale + kappa * p1 * p2) * (p1 * p2 / g.distance ** 2) ** 3
-    return out
+    p1, p2 = invert_delays_pair(dataset.delta_t / t0, g.mass, dataset.energy)
+    return np.exp(log_scale + kappa * p1 * p2) * (p1 * p2 / g.distance ** 2) ** 3
 
 
 def _kappa(params: PairModelParams) -> float:
@@ -375,13 +388,19 @@ def dataset_to_csv(dataset: CoincidenceDataset, path, comment: str | None = None
 def dataset_from_csv(path, geometry: PairGeometry, energy: float) -> CoincidenceDataset:
     dts, counts = [], []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("delta_t_au"):
                 continue
-            a, b = line.split(",")
-            dts.append(float(a))
-            counts.append(float(b))
+            try:
+                dt, count = (float(v) for v in line.split(","))
+                if not (math.isfinite(dt) and math.isfinite(count)):
+                    raise ValueError
+            except ValueError:
+                raise DomainError(f"{path}:{lineno}: expected two finite numbers "
+                                  f"'delta_t,count', got {line!r}") from None
+            dts.append(dt)
+            counts.append(count)
     return CoincidenceDataset(np.array(dts), np.array(counts), geometry, energy)
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from itkit.cli import main
 
@@ -239,12 +241,89 @@ class TestInvalidInputExitCodes:
         ("greens", "energy = 0.5\nr_min = 1\nr_max = 10\nn_r = -3\n"),
         ("xsec", "energy = 0.5\nn_angles = 0\n"),
         ("xsec", "energy = 0.5\nn_angles = -1\n"),
+        ("xsec", "energy = 0.5\nmass = 0\n"),
+        ("xsec", "energy = 0.5\na = 0\n"),
+        ("xsec", "energy = nan\n"),
+        ("xsec", "energy = 0.5\nv0 = inf\n"),
+        ("it-check", "times = 0\n"),
+        ("it-check", "times = 500, -5\n"),
+        ("it-check", "mass = 0\n"),
+        ("coincidence", "distance = 1\nenergy = 8\nsigma = 1\nSigma = 10\nn_bins = 0\n"),
+        ("coincidence", "distance = 1\nenergy = 8\nsigma = 1\nSigma = 10\n"
+                        "tau_max = 0\nn_events = 1000\n"),
+        ("coincidence", "distance = 0\nenergy = 8\nsigma = 1\nSigma = 10\n"),
+        ("coincidence", "distance = 1\nenergy = 8\nsigma = -1\nSigma = 10\n"),
+        ("delays", "masses = 1,1\ndistances = 1,1\nenergy = 1\ndelays = inf\n"),
     ])
     def test_config_error(self, tmp_path, capsys, command, config):
         code, out = run(tmp_path, command, config)
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("row", ["0.0,1,2", "0.0,abc"])
+    def test_malformed_fit_data(self, tmp_path, capsys, row):
+        data = tmp_path / "data.csv"
+        data.write_text(f"delta_t_au,count\n-1.0,3\n{row}\n1.0,3\n")
+        code, out = run(tmp_path, "coincidence",
+                        f"mode = fit\ndistance = 1\nenergy = 8\ndata = {data}\n")
+        assert code == 2
+        assert f"{data}:3:" in capsys.readouterr().err
+        assert not (out / "fit.json").exists()
+
+    @pytest.mark.parametrize("command, config", [
+        ("xsec", "energy = -1\n"),
+        ("xsec", "energy = 0\n"),
+        ("coincidence", "distance = 1\nenergy = -1\nsigma = 1\nSigma = 10\n"),
+    ])
+    def test_infeasible(self, tmp_path, capsys, command, config):
+        code, out = run(tmp_path, command, config)
+        assert code == 3
+        assert capsys.readouterr().err.startswith("infeasible:")
+        assert not any(out.glob("*.csv"))
+
+
+# README values, with n_angles and n_bins kept small so the fuzz stays fast
+SIMULATE_KEYS = {"mass": "1.0", "distance": "1.0", "energy": "8.0", "sigma": "1.0",
+                 "Sigma": "10.0", "n_events": "30000", "tau_max": "6.0", "n_bins": "121"}
+FIT_KEYS = {"mass": "1.0", "distance": "1.0", "energy": "8.0", "sigma_init": "0.8",
+            "Sigma_init": "10.0"}
+XSEC_KEYS = {"v0": "0.01", "a": "1.0", "mass": "1.0", "energy": "0.5", "n_angles": "3"}
+
+
+def _fuzzed(keys):
+    return st.fixed_dictionaries(
+        {k: st.sampled_from([v, "0", "-1", "nan", "inf"]) for k, v in keys.items()})
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    config = work / "simulate.txt"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in SIMULATE_KEYS.items()))
+    assert main(["coincidence", "--config", str(config), "--out", str(work),
+                 "--seed", "1"]) == 0
+    return work
+
+
+class TestCliFuzz:
+    @given(st.one_of(
+        _fuzzed(SIMULATE_KEYS).map(lambda c: ("coincidence", {"mode": "simulate", **c})),
+        _fuzzed(FIT_KEYS).map(lambda c: ("coincidence", {"mode": "fit", **c})),
+        _fuzzed(XSEC_KEYS).map(lambda c: ("xsec", c))))
+    @example(("coincidence", {"mode": "simulate", **SIMULATE_KEYS}))
+    @example(("coincidence", {"mode": "fit", **FIT_KEYS}))
+    @example(("xsec", XSEC_KEYS))
+    @settings(max_examples=100, deadline=None)
+    def test_exit_code_is_typed(self, fuzz_dir, command_config):
+        # every outcome is a documented exit code; nothing escapes main
+        command, keys = command_config
+        if keys.get("mode") == "fit":
+            keys = {**keys, "data": str(fuzz_dir / "dataset.csv")}
+        config = fuzz_dir / "fuzz.txt"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        code = main([command, "--config", str(config), "--out", str(fuzz_dir / "out")])
+        assert code in (0, 2, 3, 4)
 
 
 class TestCsvComments:

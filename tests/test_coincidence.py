@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from itkit.coincidence import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     CoincidenceDataset,
     DelayObservation,
     PairGeometry,
     PairModelParams,
     _pair_residual,
+    _reduced_curve,
     characteristic_time,
     coincidence_curve,
     curve_to_csv,
@@ -32,6 +36,63 @@ CM = 1.0 / 5.29177210903e-9
 CM_SCALE_GEOMETRY = PairGeometry(mass=1.0, distance=2.0 * CM)
 MODEL_PARAMS = PairModelParams(sigma=1.0, Sigma=10.0)
 CM_SCALE_ENERGY = 0.37 * EV
+EPS = np.finfo(float).eps
+
+
+def numeric_inversion_reference(obs):
+    """Delay inversion with the energy equation evaluated in numpy, as the
+    library did before it switched to plain floats."""
+    m = obs.masses
+    r = obs.distances
+    E = obs.energy
+    t1 = m[0] * r[0]
+
+    def momenta(p1):
+        if p1 < 1.0:
+            rest = m[1:] * r[1:] * p1 / (obs.delays * p1 + t1)
+        else:
+            rest = m[1:] * r[1:] / (obs.delays + t1 / p1)
+        return np.concatenate(([p1], rest))
+
+    def h(p1):
+        p = momenta(p1)
+        return float(np.sum(p * p / (2.0 * m))) - E
+
+    hi = math.sqrt(2.0 * m[0] * E)
+    earliest = -float(np.min(obs.delays))
+    if earliest * hi > t1:
+        hi = t1 / earliest
+    shrink = 1e-12
+    while not (math.isfinite(h(hi * (1.0 - shrink))) and h(hi * (1.0 - shrink)) > 0.0):
+        shrink *= 4.0
+        assert shrink < 0.5
+    hi_eff = hi * (1.0 - shrink)
+    p1 = brentq(h, hi_eff * 1e-12, hi_eff, xtol=1e-300, rtol=8.881784197001252e-16,
+                maxiter=NEWTON_MAX_ITER)
+    assert abs(h(p1)) <= NEWTON_TOL * max(1.0, E)
+    return momenta(p1)
+
+
+def curve_loop_reference(geometry, params, E, delta_t):
+    """Unnormalized coincidence curve evaluated one delay at a time."""
+    t0 = characteristic_time(geometry.mass, geometry.distance, E)
+    zhat = np.array([0.0, 0.0, 1.0])
+    rows = []
+    for dt in delta_t:
+        a, b = invert_delays_pair(dt / t0, geometry.mass, E)
+        dens = pair_model_momentum_density(a * zhat, -b * zhat, params)
+        rows.append((a, b, (a * b / geometry.distance ** 2) ** 3 * dens))
+    return np.array(rows).T
+
+
+def reduced_curve_loop_reference(dataset, kappa, log_scale):
+    g = dataset.geometry
+    t0 = characteristic_time(g.mass, g.distance, dataset.energy)
+    out = []
+    for dt in dataset.delta_t:
+        p1, p2 = invert_delays_pair(dt / t0, g.mass, dataset.energy)
+        out.append(math.exp(log_scale + kappa * p1 * p2) * (p1 * p2 / g.distance ** 2) ** 3)
+    return np.array(out)
 
 
 class TestPairInversion:
@@ -77,6 +138,39 @@ class TestPairInversion:
             invert_delays_pair(1.0, m=0.0)
         with pytest.raises(DomainError):
             invert_delays_pair(float("nan"))
+        with pytest.raises(DomainError):
+            invert_delays_pair(np.array([[0.0, 1.0], [np.inf, 2.0]]))
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_array_matches_scalar_calls(self, shape):
+        rng = np.random.default_rng(17)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e200]
+        tau = np.concatenate([special, rng.normal(scale=3.0, size=15)])[: max(1, math.prod(shape))]
+        tau = tau.reshape(shape)
+        # a 0-d array gives floats, like a scalar
+        p1, p2 = (np.asarray(p) for p in invert_delays_pair(tau, 2.0, 0.7))
+        assert p1.shape == p2.shape == shape
+        for idx in np.ndindex(shape):
+            a, b = invert_delays_pair(float(tau[idx]), 2.0, 0.7)
+            assert type(a) is float and type(b) is float
+            assert (a, b) == (p1[idx], p2[idx])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(st.floats(min_value=5e-324, max_value=1.7e308), st.sampled_from([1.0, -1.0]))
+    @example(1e6, 1.0)
+    @example(1e150, 1.0)
+    @example(1.3e154, 1.0)
+    @example(1.7e308, 1.0)
+    @example(1.7e308, -1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_stays_on_shell_at_any_delay(self, magnitude, sign):
+        # 1 + 2 tau^2 once overflowed past 1.3e154, giving p1 = p2 off the
+        # shell, and the smaller momentum lost digits to cancellation
+        tau = sign * magnitude
+        p1, p2 = invert_delays_pair(tau)
+        assert p1 > 0 and p2 > 0
+        assert abs(p1 * p1 + p2 * p2 - 2.0) / 2.0 <= 4 * EPS
+        assert abs(_pair_residual(tau, p1, p2, 1.0, 1.0)) <= 1e-14
 
 
 class TestNumericInversion:
@@ -179,6 +273,24 @@ class TestNumericInversion:
         obs = DelayObservation([1.0, 2.0, 1.5], [1.0, 1.3, 0.7], 1.0, [delay, -delay / 3])
         np.testing.assert_allclose(invert_delays_numeric(obs), expected, rtol=1e-14, atol=0)
 
+    def test_matches_numpy_energy_equation(self):
+        rng = np.random.default_rng(6)
+        for tau in np.linspace(-5.0, 5.0, 1001):
+            obs = DelayObservation([1.0, 1.0], [1.0, 1.0], 1.0, [tau])
+            np.testing.assert_allclose(invert_delays_numeric(obs),
+                                       numeric_inversion_reference(obs), rtol=1e-14, atol=0)
+        masses = np.array([1.0, 1.5, 2.0])
+        distances = np.array([1.0, 1.2, 0.8])
+        u = np.abs(rng.normal(size=(800, 3)))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        p = np.sqrt(2.0 * masses) * u[np.all(u > 0.2, axis=1)][:200]
+        t = masses * distances / p
+        assert len(p) == 200
+        for delays in t[:, 1:] - t[:, :1]:
+            obs = DelayObservation(masses, distances, 1.0, delays)
+            np.testing.assert_allclose(invert_delays_numeric(obs),
+                                       numeric_inversion_reference(obs), rtol=1e-14, atol=0)
+
     def test_observation_validation(self):
         with pytest.raises(DomainError):
             DelayObservation([1.0, 1.0], [1.0, 1.0], 1.0, [0.1, 0.2])
@@ -211,6 +323,19 @@ class TestPairModel:
         f2 = pair_model_momentum_density(z, a, params)
         f0 = pair_model_momentum_density(z, z, params)
         assert not np.isclose(joint * f0, f1 * f2, rtol=1e-3)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 5)])
+    def test_stacked_matches_single(self, shape):
+        rng = np.random.default_rng(3)
+        p1 = rng.normal(size=shape + (3,))
+        p2 = rng.normal(size=shape + (3,))
+        params = PairModelParams(0.7, 2.5)
+        dens = pair_model_momentum_density(p1, p2, params)
+        assert dens.shape == shape
+        for idx in np.ndindex(shape):
+            single = pair_model_momentum_density(p1[idx], p2[idx], params)
+            assert type(single) is float
+            assert single == dens[idx]
 
 
 class TestCurve:
@@ -246,7 +371,27 @@ class TestCurve:
         assert np.max(np.abs(narrow - ps)) > 0.1
 
 
+    @pytest.mark.parametrize("geometry, params, E", [
+        (PairGeometry(1.0, 1.0), PairModelParams(1.0, 10.0), 8.0),
+        (CM_SCALE_GEOMETRY, MODEL_PARAMS, CM_SCALE_ENERGY),
+        (PairGeometry(2.0, 0.5), PairModelParams(0.4, 3.0), 1.5),
+    ])
+    def test_matches_per_point_loop(self, geometry, params, E):
+        t0 = characteristic_time(geometry.mass, geometry.distance, E)
+        dt = np.linspace(-6 * t0, 6 * t0, 121)
+        _, p1, p2, prob = coincidence_curve(geometry, params, E, dt, normalize=False)
+        ref = curve_loop_reference(geometry, params, E, dt)
+        np.testing.assert_allclose(np.array([p1, p2, prob]), ref, rtol=1e-14, atol=0)
+
+
 class TestFit:
+    @pytest.mark.parametrize("kappa, log_scale", [(-0.24, 0.0), (0.5, 3.0), (-3.0, -1.0)])
+    def test_reduced_curve_matches_per_point_loop(self, kappa, log_scale):
+        ds = synthesize_dataset(PairGeometry(1.3, 0.8), MODEL_PARAMS, 5.0, 5000, seed=4)
+        np.testing.assert_allclose(_reduced_curve(ds, kappa, log_scale),
+                                   reduced_curve_loop_reference(ds, kappa, log_scale),
+                                   rtol=1e-14, atol=0)
+
     def test_noiseless_recovery(self):
         g = PairGeometry(1.0, 1.0)
         E = 8.0
@@ -370,6 +515,13 @@ class TestSerialization:
         loaded = json.loads(path.read_text())
         assert loaded["sigma"] == pytest.approx(report["sigma"])
         assert loaded["n_rows"] == 121
+
+    @pytest.mark.parametrize("row", ["0.5,1,2", "0.5,abc", "0.5", "nan,3", "0.5,inf"])
+    def test_malformed_row_names_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"delta_t_au,count\n0.0,4\n{row}\n")
+        with pytest.raises(DomainError, match=r"bad\.csv:3:"):
+            dataset_from_csv(path, PairGeometry(1.0, 1.0), 8.0)
 
     def test_dataset_validation(self):
         g = PairGeometry(1.0, 1.0)
