@@ -26,12 +26,14 @@ def main() -> None:
     print(f"                   closed form {analytic:.12e}")
     print(f"                   relative gap {abs(f0.real - analytic) / abs(analytic):.2e}")
 
+    # one call samples V once for every outgoing direction
+    degrees = np.arange(0, 181, 30)
+    th = np.radians(degrees)
+    p_out = p * np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=-1)
+    sigma = cross_section(born_amplitude(potential, [p, 0.0, 0.0], p_out, m))
     print("theta (deg)   dsigma/dOmega (au)")
-    for deg in (0, 30, 60, 90, 120, 150, 180):
-        th = math.radians(deg)
-        p_out = [p * math.cos(th), p * math.sin(th), 0.0]
-        f = born_amplitude(potential, [p, 0.0, 0.0], p_out, m)
-        print(f"{deg:11d}   {cross_section(f):.6e}")
+    for deg, s in zip(degrees, sigma):
+        print(f"{deg:11d}   {s:.6e}")
 
 
 if __name__ == "__main__":

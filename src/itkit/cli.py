@@ -40,6 +40,9 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
+# it-check grid points: 32x the default, refused before anything is allocated
+MAX_IT_POINTS = 1 << 20
+
 
 class ConfigError(Exception):
     pass
@@ -167,6 +170,8 @@ def cmd_it_check(cfg: Config, out_dir: Path, seed: int | None) -> int:
         raise ConfigError(f"mass must be positive, got {mass:g}")
     if np.any(times <= 0):
         raise ConfigError(f"times must be positive, got {times.min():g}")
+    if n > MAX_IT_POINTS:
+        raise ConfigError(f"n_points must be at most {MAX_IT_POINTS}, got {n}")
     with _config_values():
         packet = GaussianPacketSpec(p0=[p0], sigma_p=[sigma_p], r0=[0.0])
         pgrid = centered_grid_1d(40.0 * sigma_p, n, p0)
@@ -239,6 +244,8 @@ def cmd_coincidence(cfg: Config, out_dir: Path, seed: int | None) -> int:
             raise ConfigError(f"tau_max must be positive, got {tau_max:g}")
         if n_bins < 1:
             raise ConfigError(f"n_bins must be at least 1, got {n_bins}")
+        if n_events > coin.MAX_EVENTS:
+            raise ConfigError(f"n_events must be at most {coin.MAX_EVENTS:g}, got {n_events:g}")
         with _config_values():
             params = coin.PairModelParams(sigma, big_sigma)
         t0 = coin.characteristic_time(mass, distance, energy)
@@ -286,15 +293,14 @@ def cmd_xsec(cfg: Config, out_dir: Path, seed: int | None) -> int:
         return v0 * np.exp(-(x * x + y * y + z * z) / (a * a))
 
     angles = np.linspace(0.0, 180.0, n_angles)
-    p_in = np.array([0.0, 0.0, p])
+    rad = np.radians(angles)
+    p_out = p * np.stack([np.sin(rad), np.zeros(n_angles), np.cos(rad)], axis=-1)
     amps = np.zeros(n_angles, dtype=complex)
-    for k, th in enumerate(angles if v0 != 0.0 else []):
-        rad = math.radians(th)
-        p_out = p * np.array([math.sin(rad), 0.0, math.cos(rad)])
-        amps[k] = scatter.born_amplitude(potential, p_in, p_out, mass, extent=max(14.0 * a, 14.0))
+    if v0 != 0.0:
+        amps = scatter.born_amplitude(potential, [0.0, 0.0, p], p_out, mass,
+                                      extent=max(14.0 * a, 14.0))
     _write_csv(out_dir / "xsec.csv", "angle_deg,f_re,f_im,dsigma_domega_au",
-               [angles, amps.real, amps.imag, [scatter.cross_section(f) for f in amps]],
-               cfg.comment())
+               [angles, amps.real, amps.imag, scatter.cross_section(amps)], cfg.comment())
     return EXIT_OK
 
 

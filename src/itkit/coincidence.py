@@ -27,6 +27,8 @@ from .errors import DomainError, FitError, InfeasibleError
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
+# numpy's Poisson sampler refuses a mean above ~9.2e18
+MAX_EVENTS = 1e18
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,9 @@ class DelayObservation:
         m = np.atleast_1d(np.asarray(self.masses, dtype=float))
         r = np.atleast_1d(np.asarray(self.distances, dtype=float))
         d = np.atleast_1d(np.asarray(self.delays, dtype=float))
-        if np.any(m <= 0) or np.any(r <= 0) or self.energy <= 0:
-            raise DomainError("masses, distances and energy must be positive")
+        if not (np.all((m > 0) & (m < np.inf)) and np.all((r > 0) & (r < np.inf))
+                and 0 < self.energy < math.inf):
+            raise DomainError("masses, distances and energy must be positive and finite")
         if len(d) != len(m) - 1 or len(r) != len(m):
             raise DomainError("need one distance per fragment and N-1 delays")
         if not np.all(np.isfinite(d)):
@@ -130,8 +133,8 @@ def invert_delays_pair(tau, m: float = 1.0, E: float = 1.0):
     ``tau`` may be a scalar, giving a tuple of two floats, or an array,
     giving two arrays of its shape.  Every element must be finite.
     """
-    if m <= 0 or E <= 0:
-        raise DomainError("m and E must be positive")
+    if not (0 < m < math.inf and 0 < E < math.inf):
+        raise DomainError("m and E must be positive and finite")
     t = np.asarray(tau, dtype=float)
     if not np.all(np.isfinite(t)):
         raise DomainError("tau must be finite")
@@ -268,8 +271,8 @@ def synthesize_dataset(geometry: PairGeometry, params: PairModelParams, E: float
     Expected counts are proportional to P(DeltaT) with total ``n_events``.
     The default delay grid spans ±6 characteristic times in 121 bins.
     """
-    if n_events <= 0:
-        raise DomainError("n_events must be positive")
+    if not 0 < n_events <= MAX_EVENTS:
+        raise DomainError(f"n_events must lie in (0, {MAX_EVENTS:g}]")
     if delta_t is None:
         t0 = characteristic_time(geometry.mass, geometry.distance, E)
         delta_t = np.linspace(-6.0 * t0, 6.0 * t0, 121)
@@ -280,16 +283,13 @@ def synthesize_dataset(geometry: PairGeometry, params: PairModelParams, E: float
     return CoincidenceDataset(dt, counts, geometry, E)
 
 
-def _reduced_curve(dataset: CoincidenceDataset, kappa: float, log_scale: float) -> np.ndarray:
-    """Back-to-back model in its identifiable parametrization.
+def _reduced_curve(p1, p2, distance: float, kappa: float, log_scale: float) -> np.ndarray:
+    """Back-to-back model at inverted momenta p1, p2, in its identifiable parametrization.
 
     On the energy shell p1^2 + p2^2 = 2mE the two Gaussian exponents
     collapse to kappa * p1 p2 plus constants, kappa = 1/Sigma^2 - 1/(4 sigma^2).
     """
-    g = dataset.geometry
-    t0 = characteristic_time(g.mass, g.distance, dataset.energy)
-    p1, p2 = invert_delays_pair(dataset.delta_t / t0, g.mass, dataset.energy)
-    return np.exp(log_scale + kappa * p1 * p2) * (p1 * p2 / g.distance ** 2) ** 3
+    return np.exp(log_scale + kappa * p1 * p2) * (p1 * p2 / distance ** 2) ** 3
 
 
 def _kappa(params: PairModelParams) -> float:
@@ -313,13 +313,16 @@ def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
     if counts.max() <= 0:
         raise FitError("dataset has no counts")
     w = 1.0 / np.sqrt(np.maximum(counts, 1.0))
+    g = dataset.geometry
+    t0 = characteristic_time(g.mass, g.distance, dataset.energy)
+    p1, p2 = invert_delays_pair(dataset.delta_t / t0, g.mass, dataset.energy)
 
     kappa0 = _kappa(initial)
-    model0 = _reduced_curve(dataset, kappa0, 0.0)
+    model0 = _reduced_curve(p1, p2, g.distance, kappa0, 0.0)
     scale0 = math.log(max(counts.max() / model0.max(), 1e-300))
 
     def resid(x):
-        return w * (_reduced_curve(dataset, x[0], x[1]) - counts)
+        return w * (_reduced_curve(p1, p2, g.distance, x[0], x[1]) - counts)
 
     sol = least_squares(resid, x0=[kappa0, scale0], method="lm", xtol=1e-14,
                         ftol=1e-14, gtol=1e-14, max_nfev=2000)
@@ -348,10 +351,10 @@ def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
         # energy-shell constant and Gaussian normalizations, relative to
         # their values at the fitted point so full_curve(theta_hat) matches
         def shell(s, S):
-            return math.exp(-dataset.energy * dataset.geometry.mass
+            return math.exp(-dataset.energy * g.mass
                             * (1.0 / (4.0 * s ** 2) + 1.0 / S ** 2)) / (s * S) ** 3
         return sc * shell(sigma, Sigma) / shell(params.sigma, params.Sigma) \
-            * _reduced_curve(dataset, kap, 0.0)
+            * _reduced_curve(p1, p2, g.distance, kap, 0.0)
 
     theta = np.array([params.sigma, params.Sigma, scale])
     jac = np.empty((len(counts), 3))

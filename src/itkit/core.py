@@ -9,6 +9,8 @@ multiplication in the momentum representation.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -19,7 +21,9 @@ from .errors import (
     CoverageError,
     DegenerateInputError,
     DomainError,
+    FormatError,
     RepresentationError,
+    ShapeError,
 )
 
 HBAR = 1.0
@@ -107,6 +111,10 @@ class Grid:
     def axis(self, i: int) -> np.ndarray:
         return self.origin[i] + self.spacing[i] * np.arange(self.n[i])
 
+    def bounds(self, i: int) -> tuple[float, float]:
+        """Coordinates of the first and last point on axis ``i``."""
+        return self.origin[i], self.origin[i] + self.spacing[i] * (self.n[i] - 1)
+
     def axes(self) -> list[np.ndarray]:
         return [self.axis(i) for i in range(self.dimension)]
 
@@ -144,7 +152,7 @@ class ComplexField:
             raise RepresentationError(f"unknown representation {self.representation!r}")
         v = np.asarray(self.values, dtype=complex)
         if v.shape != tuple(self.grid.n):
-            raise ValueError(f"values shape {v.shape} does not match grid {self.grid.n}")
+            raise ShapeError(f"values shape {v.shape} does not match grid {self.grid.n}")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -273,7 +281,7 @@ def sample_gaussian(spec: GaussianPacketSpec, grid: Grid, representation: str = 
     """
     d = grid.dimension
     if len(spec.p0) != d:
-        raise ValueError(f"spec dimension {len(spec.p0)} != grid dimension {d}")
+        raise ShapeError(f"spec dimension {len(spec.p0)} != grid dimension {d}")
     if representation == POSITION:
         centers, widths = spec.r0, spec.sigma_x
     elif representation == MOMENTUM:
@@ -281,8 +289,7 @@ def sample_gaussian(spec: GaussianPacketSpec, grid: Grid, representation: str = 
     else:
         raise RepresentationError(f"unknown representation {representation!r}")
     for ax in range(d):
-        lo = grid.origin[ax]
-        hi = grid.origin[ax] + grid.spacing[ax] * (grid.n[ax] - 1)
+        lo, hi = grid.bounds(ax)
         if centers[ax] - 6 * widths[ax] < lo or centers[ax] + 6 * widths[ax] > hi:
             raise CoverageError(
                 f"grid axis {ax} covers [{lo:g}, {hi:g}], needs 6 sigma around {centers[ax]:g}"
@@ -365,14 +372,33 @@ def field_to_binary(field: ComplexField, path) -> None:
 
 
 def field_from_binary(path) -> ComplexField:
+    """Read a :func:`field_to_binary` dump.
+
+    The magic, the dimension and the header plus payload size are checked
+    against the file size before the rest is read; a malformed or truncated
+    file raises FormatError.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not an itkit field dump")
-        (d,) = struct.unpack("<i", fh.read(4))
-        n = struct.unpack(f"<{d}q", fh.read(8 * d))
-        spacing = struct.unpack(f"<{d}d", fh.read(8 * d))
-        origin = struct.unpack(f"<{d}d", fh.read(8 * d))
-        rep, t = struct.unpack("<id", fh.read(12))
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != _MAGIC:
+            raise FormatError(f"{path}: not an itkit field dump")
+        (d,) = struct.unpack("<i", head[4:])
+        # magic and d, then per-axis n, spacing and origin, then flag and time
+        n_head = 8 + 24 * d + 12
+        if d < 1 or n_head > size:
+            raise FormatError(f"{path}: dimension {d} does not fit in {size} bytes")
+        meta = fh.read(n_head - 8)
+        n = struct.unpack_from(f"<{d}q", meta)
+        spacing = struct.unpack_from(f"<{d}d", meta, 8 * d)
+        origin = struct.unpack_from(f"<{d}d", meta, 16 * d)
+        rep, t = struct.unpack_from("<id", meta, 24 * d)
+        if min(n) < 1 or size != n_head + 16 * math.prod(n):
+            raise FormatError(f"{path}: {size} bytes do not hold a header and {n} points")
+        # Python floats: an overflowing last coordinate becomes inf without a warning
+        far = [o + s * (k - 1) for o, s, k in zip(origin, spacing, n)]
+        if rep not in (0, 1) or not all(map(math.isfinite, (*spacing, *origin, *far, t))):
+            raise FormatError(f"{path}: bad representation flag or non-finite coordinates")
         raw = np.frombuffer(fh.read(), dtype="<f8")
     vals = (raw[0::2] + 1j * raw[1::2]).reshape(n)
     grid = Grid(n, spacing, origin)

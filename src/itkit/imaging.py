@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import van_vleck_time
-from .core import HBAR, MOMENTUM, POSITION, ComplexField, Grid, _write_csv
-from .errors import CoverageError, DomainError, RepresentationError, ShapeError
-from .propagate import interpolate_field
+from .core import HBAR, ComplexField, Grid, _write_csv
+from .errors import CoverageError, DomainError, ShapeError
+from .propagate import interpolate_field, it_field_uniform
 
 MACROSCOPIC_RADIUS = 1e3
 FAR_FIELD_RATIO = 10.0
@@ -82,17 +82,10 @@ def _estimate_sigma_p(momentum_field: ComplexField) -> float:
 def apply_it_free(momentum_field: ComplexField, m: float, t: float, r_grid: Grid) -> ComplexField:
     """Asymptotic position field Psi(r,t) = (m/(it))^{d/2} e^{i m r^2/(2 hbar t)} Phi(m r/t).
 
-    Phi is interpolated cubically at the classical momenta m r / t; points
-    mapping outside the momentum grid contribute zero (Phi has decayed).
-    Warns when t is not deep in the far field.
+    The F = 0 case of :func:`itkit.propagate.it_field_uniform`, plus a
+    warning when t is not deep in the far field.
     """
-    if momentum_field.representation != MOMENTUM:
-        raise RepresentationError("apply_it_free expects a momentum-representation field")
-    if t <= 0:
-        raise DomainError("t must be positive")
-    d = r_grid.dimension
-    if momentum_field.grid.dimension != d:
-        raise ShapeError("momentum and position grids must share dimension")
+    out = it_field_uniform(momentum_field, r_grid, t, 0.0, m)
     sigma_p = _estimate_sigma_p(momentum_field)
     sigma_x = HBAR / (2.0 * sigma_p)
     if t * sigma_p / (m * sigma_x) <= FAR_FIELD_RATIO:
@@ -100,13 +93,7 @@ def apply_it_free(momentum_field: ComplexField, m: float, t: float, r_grid: Grid
             "t is not far-field for this packet; imaging-map error may be large",
             stacklevel=2,
         )
-    axes = np.meshgrid(*r_grid.axes(), indexing="ij")
-    pts = np.stack([a.ravel() * (m / t) for a in axes], axis=-1)
-    phi = interpolate_field(momentum_field, pts, fill=0.0)
-    r2 = sum(a.ravel() ** 2 for a in axes)
-    pref = (m / t) ** (d / 2.0) * np.exp(-1j * np.pi * d / 4.0)
-    vals = (pref * np.exp(1j * m * r2 / (2.0 * HBAR * t)) * phi).reshape(tuple(r_grid.n))
-    return ComplexField(r_grid, POSITION, vals, t)
+    return out
 
 
 def it_density(momentum_density, vv_factor):
@@ -133,8 +120,7 @@ def detection_probability(position_field: ComplexField, patch: DetectorPatch) ->
     """dP = |Psi(r, t)|^2 r^2 dOmega dr at a detector patch."""
     grid = position_field.grid
     for ax in range(grid.dimension):
-        lo = grid.origin[ax]
-        hi = grid.origin[ax] + grid.spacing[ax] * (grid.n[ax] - 1)
+        lo, hi = grid.bounds(ax)
         if not (lo <= patch.position[ax] <= hi):
             raise CoverageError("detector patch lies outside the field grid")
     val = interpolate_field(position_field, patch.position.reshape(1, -1))[0]

@@ -268,7 +268,7 @@ def spa_integrate(momentum_field: ComplexField, action, r, t: float, tau: float)
     p_init = np.array([float(np.sum(w * a)) for a in axes])
     p_star, hess = _stationary_point(action, r, T, grid, p_init)
     for ax in range(grid.dimension):
-        lo, hi = grid.origin[ax], grid.origin[ax] + grid.spacing[ax] * (grid.n[ax] - 1)
+        lo, hi = grid.bounds(ax)
         if not (lo <= p_star[ax] <= hi):
             raise SupportError(
                 f"stationary momentum {p_star} lies outside the momentum grid"
@@ -286,7 +286,8 @@ def it_field_uniform(momentum_field: ComplexField, r_grid: Grid, t: float, tau: 
     """Asymptotic position field from the mixed-kernel SPA on every r point.
 
     Uses the closed-form stationary momentum, so it is fast enough for full
-    grids; reduces to the free imaging map at F = 0.
+    grids.  Phi is interpolated cubically; points mapping outside its grid
+    contribute zero.  At F = 0 this is the free imaging map.
     """
     if momentum_field.representation != MOMENTUM:
         raise RepresentationError("expected a momentum-representation field")
@@ -294,6 +295,8 @@ def it_field_uniform(momentum_field: ComplexField, r_grid: Grid, t: float, tau: 
     if T <= 0:
         raise DomainError("t must exceed tau")
     d = r_grid.dimension
+    if momentum_field.grid.dimension != d:
+        raise ShapeError("momentum and position grids must share dimension")
     f = np.zeros(d) if F is None else np.atleast_1d(np.asarray(F, dtype=float))
     axes = np.meshgrid(*r_grid.axes(), indexing="ij")
     pts = np.stack([a.ravel() for a in axes], axis=-1)

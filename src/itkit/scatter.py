@@ -69,19 +69,21 @@ def amplitude_from_momentum_wfn(momentum_density: float, m: float, dT_dE: float)
 
 
 def born_amplitude(potential, p_in, p_out, m: float = 1.0,
-                   extent: float = 14.0, n: int = 64) -> complex:
+                   extent: float = 14.0, n: int = 64) -> complex | np.ndarray:
     """First-order amplitude f = -(m / 2 pi hbar^2) int V(r) e^{i q.r} dr.
 
     ``potential`` is V(x, y, z) on arrays; the integral runs over a cube of
     side ``extent`` centred on the origin with n^3 trapezoid points, so V
     must be short-range on that scale.  q = p_in - p_out, and |p_in| must
-    equal |p_out| (elastic kinematics).
+    equal |p_out| (elastic kinematics).  ``p_out`` of shape (3,) gives one
+    amplitude; (k, 3) gives k amplitudes from one sampling of V.
     """
     p_in = np.atleast_1d(np.asarray(p_in, dtype=float))
-    p_out = np.atleast_1d(np.asarray(p_out, dtype=float))
-    if abs(np.linalg.norm(p_in) - np.linalg.norm(p_out)) > 1e-10 * max(1.0, np.linalg.norm(p_in)):
+    p_out = np.asarray(p_out, dtype=float)
+    p_mag = np.linalg.norm(p_in)
+    if np.any(np.abs(p_mag - np.linalg.norm(p_out, axis=-1)) > 1e-10 * max(1.0, p_mag)):
         raise DomainError("elastic kinematics require |p_in| = |p_out|")
-    q = p_in - p_out
+    q = np.atleast_2d(p_in - p_out)
     ax = np.linspace(-extent / 2.0, extent / 2.0, n)
     x, y, z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
     v = np.broadcast_to(potential(x, y, z), (n, n, n))
@@ -91,18 +93,21 @@ def born_amplitude(potential, p_in, p_out, m: float = 1.0,
     edge = max(np.max(np.abs(np.take(v, i, axis=a))) for a in range(3) for i in (0, -1))
     if peak > 0 and edge > 1e-10 * peak:
         raise CoverageError("potential has not decayed at the quadrature boundary")
-    # e^{i q.r} separates: one trapezoid-weighted phase vector per axis
+    # e^{i q.r} separates: one trapezoid-weighted phase vector per axis and momentum
     w = np.ones(n)
     w[0] = w[-1] = 0.5
-    ex, ey, ez = (w * np.exp(1j * qi * ax / HBAR) for qi in q)
+    ex, ey, ez = (w * np.exp(1j * qi[:, None] * ax / HBAR) for qi in q.T)
     dv = (ax[1] - ax[0]) ** 3
-    integral = ((v @ ez) @ ey) @ ex * dv
-    return -(m / (TWO_PI * HBAR ** 2)) * integral
+    # V stays real in the z products, so no complex copy of the cube is made
+    integral = (np.einsum("xyk,ky,kx->k", v @ ez.real.T, ey, ex)
+                + 1j * np.einsum("xyk,ky,kx->k", v @ ez.imag.T, ey, ex)) * dv
+    f = -(m / (TWO_PI * HBAR ** 2)) * integral
+    return complex(f[0]) if p_out.ndim == 1 else f
 
 
-def cross_section(f: complex) -> float:
-    """Differential cross section d sigma / d Omega = |f|^2."""
-    return float(abs(f) ** 2)
+def cross_section(f) -> float | np.ndarray:
+    """Differential cross section d sigma / d Omega = |f|^2, elementwise for an array."""
+    return np.abs(f) ** 2
 
 
 def detection_probability_ti(f: complex, incident_density: float, p_in: float,

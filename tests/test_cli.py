@@ -190,6 +190,21 @@ class TestXsecCommand:
         assert float(first[0]) == 0.0
         assert float(first[3]) == pytest.approx(7.8540e-5, rel=1e-4)
 
+    def test_one_born_call_per_scan(self, tmp_path, monkeypatch):
+        from itkit import scatter
+        calls = []
+        born = scatter.born_amplitude
+
+        def counting(potential, p_in, p_out, *args, **kwargs):
+            calls.append(np.shape(p_out))
+            return born(potential, p_in, p_out, *args, **kwargs)
+
+        monkeypatch.setattr(scatter, "born_amplitude", counting)
+        code, out = run(tmp_path, "xsec", "v0 = 0.01\nenergy = 0.5\nn_angles = 7\n")
+        assert code == 0
+        assert calls == [(7, 3)]
+        assert len((out / "xsec.csv").read_text().splitlines()) == 9
+
     def test_zero_potential(self, tmp_path):
         code, out = run(tmp_path, "xsec", "energy = 0.5\nn_angles = 19\n")
         assert code == 0
@@ -254,6 +269,10 @@ class TestInvalidInputExitCodes:
         ("coincidence", "distance = 0\nenergy = 8\nsigma = 1\nSigma = 10\n"),
         ("coincidence", "distance = 1\nenergy = 8\nsigma = -1\nSigma = 10\n"),
         ("delays", "masses = 1,1\ndistances = 1,1\nenergy = 1\ndelays = inf\n"),
+        # beyond numpy's Poisson sampler, and a 745 GiB grid: both must be
+        # refused before any work
+        ("coincidence", "distance = 1\nenergy = 8\nsigma = 1\nSigma = 10\nn_events = 1e30\n"),
+        ("it-check", "n_points = 100000000000\n"),
     ])
     def test_config_error(self, tmp_path, capsys, command, config):
         code, out = run(tmp_path, command, config)

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from itkit import coincidence
 from itkit.coincidence import (
+    MAX_EVENTS,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     CoincidenceDataset,
@@ -140,6 +142,22 @@ class TestPairInversion:
             invert_delays_pair(float("nan"))
         with pytest.raises(DomainError):
             invert_delays_pair(np.array([[0.0, 1.0], [np.inf, 2.0]]))
+
+    @pytest.mark.parametrize("m, E", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                      (1.0, math.inf), (-1.0, 1.0), (1.0, 0.0)])
+    def test_rejects_non_finite_mass_and_energy(self, m, E):
+        with pytest.raises(DomainError):
+            invert_delays_pair(1.0, m=m, E=E)
+
+    @pytest.mark.parametrize("masses, distances, energy", [
+        ([1.0, 1.0], [1.0, 1.0], math.nan),
+        ([1.0, 1.0], [1.0, 1.0], math.inf),
+        ([1.0, math.nan], [1.0, 1.0], 1.0),
+        ([1.0, 1.0], [math.inf, 1.0], 1.0),
+    ])
+    def test_observation_rejects_non_finite(self, masses, distances, energy):
+        with pytest.raises(DomainError):
+            DelayObservation(masses, distances, energy, [0.5])
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
     def test_array_matches_scalar_calls(self, shape):
@@ -388,7 +406,9 @@ class TestFit:
     @pytest.mark.parametrize("kappa, log_scale", [(-0.24, 0.0), (0.5, 3.0), (-3.0, -1.0)])
     def test_reduced_curve_matches_per_point_loop(self, kappa, log_scale):
         ds = synthesize_dataset(PairGeometry(1.3, 0.8), MODEL_PARAMS, 5.0, 5000, seed=4)
-        np.testing.assert_allclose(_reduced_curve(ds, kappa, log_scale),
+        t0 = characteristic_time(1.3, 0.8, 5.0)
+        p1, p2 = invert_delays_pair(ds.delta_t / t0, 1.3, 5.0)
+        np.testing.assert_allclose(_reduced_curve(p1, p2, 0.8, kappa, log_scale),
                                    reduced_curve_loop_reference(ds, kappa, log_scale),
                                    rtol=1e-14, atol=0)
 
@@ -433,6 +453,19 @@ class TestFit:
         # the center-of-mass width is unconstrained by back-to-back data
         assert cov[1, 1] > cov[0, 0]
 
+    def test_inverts_delays_once(self, monkeypatch):
+        ds = synthesize_dataset(PairGeometry(1.0, 1.0), MODEL_PARAMS, 8.0,
+                                n_events=20000, seed=3)
+        taus = []
+
+        def counting(tau, *args):
+            taus.append(tau)
+            return invert_delays_pair(tau, *args)
+
+        monkeypatch.setattr(coincidence, "invert_delays_pair", counting)
+        fit_pair_model(ds, PairModelParams(0.8, 10.0))
+        assert len(taus) == 1 and taus[0].shape == ds.delta_t.shape
+
     def test_too_few_rows(self):
         g = PairGeometry(1.0, 1.0)
         ds = CoincidenceDataset([0.0, 0.1, 0.2], [1.0, 2.0, 1.0], g, 8.0)
@@ -459,6 +492,15 @@ class TestSynthesis:
         a = synthesize_dataset(g, MODEL_PARAMS, 8.0, 5000, seed=11)
         b = synthesize_dataset(g, MODEL_PARAMS, 8.0, 5000, seed=12)
         assert not np.array_equal(a.counts, b.counts)
+
+    @pytest.mark.parametrize("n_events", [1e30, math.nan, 0.0])
+    def test_rejects_events_outside_sampler_range(self, n_events):
+        with pytest.raises(DomainError):
+            synthesize_dataset(PairGeometry(1.0, 1.0), MODEL_PARAMS, 8.0, n_events, seed=1)
+
+    def test_largest_event_count_samples(self):
+        ds = synthesize_dataset(PairGeometry(1.0, 1.0), MODEL_PARAMS, 8.0, MAX_EVENTS, seed=1)
+        assert ds.counts.sum() == pytest.approx(MAX_EVENTS, rel=1e-6)
 
     def test_total_counts_near_target(self):
         g = PairGeometry(1.0, 1.0)

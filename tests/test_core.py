@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from itkit.core import (
     MOMENTUM,
@@ -22,7 +26,10 @@ from itkit.errors import (
     CoverageError,
     DegenerateInputError,
     DomainError,
+    FormatError,
+    ItkitError,
     RepresentationError,
+    ShapeError,
 )
 
 
@@ -63,6 +70,12 @@ class TestGrid:
         grid = Grid((64,), (0.5,), (-16.0,))
         assert grid.axis(0)[0] == -16.0
         assert grid.axis(0)[1] == -15.5
+
+    def test_bounds_are_axis_ends(self):
+        grid = Grid((64, 9), (0.1, 3.0), (-3.3, 7.0))
+        for ax in range(2):
+            assert grid.bounds(ax) == (grid.axis(ax)[0], grid.axis(ax)[-1])
+        assert grid.bounds(1) == (7.0, 31.0)
 
 
 class TestTransforms:
@@ -163,6 +176,17 @@ class TestSampleGaussian:
         with pytest.raises(CoverageError):
             sample_gaussian(spec, grid, POSITION)
 
+    def test_dimension_mismatch_is_shape_error(self):
+        spec = GaussianPacketSpec(p0=[0.0, 0.0], sigma_p=[0.25, 0.25])
+        with pytest.raises(ShapeError):
+            sample_gaussian(spec, centered_grid_1d(40.0, 64), POSITION)
+
+
+class TestComplexField:
+    def test_values_shape_mismatch_is_shape_error(self):
+        with pytest.raises(ShapeError):
+            ComplexField(centered_grid_1d(10.0, 16), POSITION, np.zeros(17))
+
 
 class TestSerialization:
     def test_binary_round_trip(self, tmp_path):
@@ -182,3 +206,67 @@ class TestSerialization:
         assert lines[0] == "# test run"
         assert lines[1] == "x0,re,im"
         assert len(lines) == 2 + 64
+
+
+@pytest.fixture(scope="module")
+def dump(tmp_path_factory):
+    grid = Grid((8, 9), (0.5, 0.25), (-2.0, -1.0))
+    values = np.arange(72).reshape(8, 9) * (1.0 - 0.5j)
+    path = tmp_path_factory.mktemp("binary") / "field.bin"
+    field_to_binary(ComplexField(grid, MOMENTUM, values, 3.5), path)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def dump_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "field.bin"
+
+
+# magic, d, 2 x (n, spacing, origin), flag, time
+HEADER_BYTES = 4 + 4 + 2 * 24 + 12
+
+
+class TestBinaryReaderFuzz:
+    def test_dump_reads_back(self, dump, dump_file):
+        dump_file.write_bytes(dump)
+        back = field_from_binary(dump_file)
+        assert back.grid == Grid((8, 9), (0.5, 0.25), (-2.0, -1.0))
+        assert back.representation == MOMENTUM and back.time_label == 3.5
+        assert len(dump) == HEADER_BYTES + 16 * 72
+
+    @given(cut=st.integers(min_value=0, max_value=HEADER_BYTES + 16 * 72 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_truncation_is_format_error(self, dump, dump_file, cut):
+        dump_file.write_bytes(dump[:cut])
+        with pytest.raises(FormatError):
+            field_from_binary(dump_file)
+
+    @given(extra=st.binary(min_size=1, max_size=40))
+    @settings(max_examples=30, deadline=None)
+    def test_trailing_bytes_are_format_error(self, dump, dump_file, extra):
+        dump_file.write_bytes(dump + extra)
+        with pytest.raises(FormatError):
+            field_from_binary(dump_file)
+
+    @given(d=st.integers(min_value=-2 ** 31, max_value=2 ** 31 - 1).filter(lambda d: d != 2))
+    @settings(max_examples=100, deadline=None)
+    def test_wrong_dimension_is_format_error(self, dump, dump_file, d):
+        dump_file.write_bytes(dump[:4] + struct.pack("<i", d) + dump[8:])
+        with pytest.raises(FormatError):
+            field_from_binary(dump_file)
+
+    @given(pos=st.integers(min_value=0, max_value=HEADER_BYTES - 1),
+           byte=st.integers(min_value=0, max_value=255))
+    @example(pos=31, byte=0x7F)  # spacing 0.5 -> 9e307: the last x0 overflows
+    @example(pos=7, byte=0x7F)  # d = 0x7f000002
+    @settings(max_examples=300, deadline=None)
+    def test_header_mutation_reads_or_raises_typed_error(self, dump, dump_file, pos, byte):
+        # a mutated spacing or origin can still describe a valid field;
+        # anything else must be refused with a package error
+        dump_file.write_bytes(dump[:pos] + bytes([byte]) + dump[pos + 1:])
+        try:
+            back = field_from_binary(dump_file)
+        except ItkitError:
+            return
+        assert back.values.shape == (8, 9)
+        assert np.all(np.isfinite(back.grid.axes()[0])) and np.all(np.isfinite(back.grid.axes()[1]))

@@ -27,7 +27,7 @@ from itkit.imaging import (
     many_particle_it,
     momentum_density_from_hits,
 )
-from itkit.propagate import evolve_free_exact
+from itkit.propagate import evolve_free_exact, it_field_uniform
 
 
 def momentum_packet(p0=1.0, sigma_p=0.25, n=4096):
@@ -87,6 +87,19 @@ class TestApplyItFree:
         psi = sample_gaussian(GaussianPacketSpec([1.0], [0.25]), grid, POSITION)
         with pytest.raises(RepresentationError):
             apply_it_free(psi, 1.0, 1000.0, grid)
+
+    def test_is_uniform_field_map_at_zero_force(self):
+        phi = momentum_packet()
+        rgrid = centered_grid_1d(2000.0, 2048, 1000.0)
+        free = apply_it_free(phi, 1.0, 1000.0, rgrid)
+        field = it_field_uniform(phi, rgrid, 1000.0, 0.0, 1.0, [0.0])
+        np.testing.assert_array_equal(free.values, field.values)
+        assert free.time_label == field.time_label == 1000.0
+
+    @pytest.mark.parametrize("t", [0.0, -5.0])
+    def test_rejects_nonpositive_time(self, t):
+        with pytest.raises(DomainError):
+            apply_it_free(momentum_packet(), 1.0, t, centered_grid_1d(100.0, 256, 0.0))
 
 
 class TestItDensity:

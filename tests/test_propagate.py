@@ -20,6 +20,7 @@ from itkit.errors import (
     CausticError,
     DomainError,
     RepresentationError,
+    ShapeError,
     StabilityError,
     SupportError,
 )
@@ -337,6 +338,17 @@ class TestUniformFieldMap:
         r = float(rg.axis(0)[16])
         val = spa_integrate(phi, s_tilde, [r], t, 0.0)
         assert complex(field.values[16]) == pytest.approx(val, rel=1e-5)
+
+    @pytest.mark.parametrize("p_dim, r_dim", [(1, 2), (2, 1)])
+    def test_mismatched_dimensions_rejected(self, p_dim, r_dim):
+        # a 1-D field on a 2-D grid must not be mapped through the first
+        # coordinate of each point alone
+        spec = GaussianPacketSpec(p0=[0.3] * p_dim, sigma_p=[0.5] * p_dim, r0=[0.0] * p_dim)
+        phi = sample_gaussian(spec, Grid((64,) * p_dim, (0.125,) * p_dim, (-3.7,) * p_dim),
+                              MOMENTUM)
+        rg = Grid((16,) * r_dim, (10.0,) * r_dim, (-50.0,) * r_dim)
+        with pytest.raises(ShapeError):
+            it_field_uniform(phi, rg, 100.0, 0.0, 1.0)
 
 
 def it_field_uniform_loop(momentum_field, r_grid, t, tau, m, F=None):

@@ -181,6 +181,30 @@ class TestBorn:
             ref = born_dense_reference(potential, p_in, p_out)
             assert abs(born_amplitude(potential, p_in, p_out) - ref) <= 1e-13 * abs(ref)
 
+    def test_stacked_matches_single_calls(self):
+        calls = []
+
+        def potential(x, y, z):
+            calls.append(1)
+            return 0.01 * np.exp(-((x - 0.3) ** 2 + (y + 0.2) ** 2 + (z - 0.1) ** 2))
+
+        th = np.linspace(0.0, math.pi, 37)
+        p_out = np.stack([np.sin(th), np.zeros_like(th), np.cos(th)], axis=-1)
+        stacked = born_amplitude(potential, [0.0, 0.0, 1.0], p_out)
+        assert stacked.shape == (37,) and len(calls) == 1
+        single = [born_amplitude(potential, [0.0, 0.0, 1.0], q) for q in p_out]
+        assert all(isinstance(f, complex) for f in single)
+        np.testing.assert_allclose(stacked, single, rtol=1e-13, atol=0)
+        for k in (0, 18, 36):
+            ref = born_dense_reference(potential, [0.0, 0.0, 1.0], p_out[k])
+            assert abs(stacked[k] - ref) <= 1e-13 * abs(ref)
+        np.testing.assert_array_equal(cross_section(stacked), np.abs(stacked) ** 2)
+
+    def test_stacked_inelastic_row_rejected(self):
+        p_out = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
+        with pytest.raises(DomainError):
+            born_amplitude(gaussian_potential, [0, 0, 1.0], p_out)
+
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("side", [-6.5, 6.5])
     def test_bump_at_each_face_rejected(self, axis, side):
