@@ -8,7 +8,6 @@ All quantities are in Hartree atomic units.
 """
 
 from .core import (
-    ATOMIC_UNITS,
     CM_TO_BOHR,
     EV_TO_HARTREE,
     HBAR,
@@ -18,7 +17,6 @@ from .core import (
     GaussianPacketSpec,
     Grid,
     UniformField,
-    UnitSystem,
     centered_grid_1d,
     normalize,
     sample_gaussian,
@@ -28,7 +26,6 @@ from .core import (
 from .errors import ItkitError
 
 __all__ = [
-    "ATOMIC_UNITS",
     "CM_TO_BOHR",
     "EV_TO_HARTREE",
     "HBAR",
@@ -39,7 +36,6 @@ __all__ = [
     "Grid",
     "ItkitError",
     "UniformField",
-    "UnitSystem",
     "centered_grid_1d",
     "normalize",
     "sample_gaussian",

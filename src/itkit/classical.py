@@ -3,8 +3,9 @@
 Covers free motion and motion in a uniform (constant-force) field, the two
 asymptotic regimes where the position action S(r, r'; T), its mixed
 Legendre partner S~(p, r; T) and the fixed-energy characteristic action
-W(r, r'; E) all have closed forms.  Van Vleck trajectory densities C and D
-are provided both analytically and by finite differences.
+W(r, r'; E) all have closed forms.  Free motion is the F = None case of
+the uniform-field actions.  Van Vleck trajectory densities C and D are
+provided both analytically and by finite differences.
 """
 
 from __future__ import annotations
@@ -69,64 +70,45 @@ class Trajectory:
 
     @property
     def action(self) -> float:
-        if self.field is None:
-            return action_S_free(self.r_end, self.r_start, self.duration, self.mass)
-        return action_S_uniform(self.r_end, self.r_start, self.duration, self.mass, self.field.force)
+        f = None if self.field is None else self.field.force
+        return action_S_uniform(self.r_end, self.r_start, self.duration, self.mass, f)
 
 
-def action_S_free(r, r_prime, T: float, m: float = 1.0) -> float:
-    """S = m (r - r')^2 / (2 T)."""
+def action_S_uniform(r, r_prime, T: float, m: float = 1.0, F=None) -> float:
+    """Position action, in a uniform field F (potential -F.r) if F is given:
+
+    S = m (r - r')^2 / (2T) [+ F.(r + r') T/2 - F^2 T^3 / (24 m)].
+    """
     if T <= 0:
         raise DomainError("T must be positive")
-    dr = _vec(r) - _vec(r_prime)
-    return float(m * np.dot(dr, dr) / (2.0 * T))
+    r, rp = _vec(r), _vec(r_prime)
+    dr = r - rp
+    s = m * np.dot(dr, dr) / (2.0 * T)
+    if F is not None:
+        f = _vec(F)
+        s = s + np.dot(f, r + rp) * T / 2.0 - np.dot(f, f) * T ** 3 / (24.0 * m)
+    return float(s)
 
 
-def action_S_tilde_free(r, p, T: float, m: float = 1.0) -> float:
-    """Mixed action S~ = p.r - p^2 T / (2 m); valid for T >= 0."""
+def action_S_tilde_uniform(r, p, T: float, m: float = 1.0, F=None) -> float | np.ndarray:
+    """Mixed action, in a uniform field F if F is given; valid for T >= 0:
+
+    S~ = p.r - p^2 T/(2m) [+ F.r T - p.F T^2/(2m) - F^2 T^3/(6m)].
+
+    Satisfies dS~/dp = r' (launch point traced back from (p, r)) and
+    |det d^2 S~ / dr dp| = 1.  ``r`` and ``p`` may stack points on leading
+    axes (shape (..., d)); the result is then an array of shape (...), else
+    a float.
+    """
     if T < 0:
         raise DomainError("T must be nonnegative")
     r, p = _vec(r), _vec(p)
-    return float(np.dot(p, r) - np.dot(p, p) * T / (2.0 * m))
-
-
-def action_S_uniform(r, r_prime, T: float, m: float = 1.0, F=0.0) -> float:
-    """Position action in a uniform field F (potential -F.r):
-
-    S = m (r - r')^2 / (2T) + F.(r + r') T/2 - F^2 T^3 / (24 m).
-    """
-    if T <= 0:
-        raise DomainError("T must be positive")
-    r, rp, f = _vec(r), _vec(r_prime), _vec(F)
-    dr = r - rp
-    return float(
-        m * np.dot(dr, dr) / (2.0 * T)
-        + np.dot(f, r + rp) * T / 2.0
-        - np.dot(f, f) * T ** 3 / (24.0 * m)
-    )
-
-
-def action_S_tilde_uniform(r, p, T: float, m: float = 1.0, F=0.0) -> float | np.ndarray:
-    """Mixed action in a uniform field:
-
-    S~ = p.r - p^2 T/(2m) + F.r T - p.F T^2/(2m) - F^2 T^3/(6m).
-
-    Satisfies dS~/dp = r' (launch point traced back from (p, r)) and
-    |det d^2 S~ / dr dp| = 1, and reduces to the free form at F = 0.
-    ``r`` and ``p`` may stack points on leading axes (shape (..., d)); the
-    result is then an array of shape (...), else a float.
-    """
-    if T < 0:
-        raise DomainError("T must be nonnegative")
-    r, p, f = _vec(r), _vec(p), _vec(F)
     # vecdot dots over the last axis exactly as np.dot does per point
-    s = (
-        np.vecdot(p, r)
-        - np.vecdot(p, p) * T / (2.0 * m)
-        + np.vecdot(f, r) * T
-        - np.vecdot(p, f) * T ** 2 / (2.0 * m)
-        - np.vecdot(f, f) * T ** 3 / (6.0 * m)
-    )
+    s = np.vecdot(p, r) - np.vecdot(p, p) * T / (2.0 * m)
+    if F is not None:
+        f = _vec(F)
+        s = (s + np.vecdot(f, r) * T - np.vecdot(p, f) * T ** 2 / (2.0 * m)
+             - np.vecdot(f, f) * T ** 3 / (6.0 * m))
     return float(s) if np.ndim(s) == 0 else s
 
 

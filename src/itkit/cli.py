@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -40,8 +41,19 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
-# it-check grid points: 32x the default, refused before anything is allocated
+# Size bounds, refused before anything is allocated.  it-check grid points:
+# 32x the default.  The other three keep a command's peak memory under ~1 GB,
+# from tracemalloc peaks of in-process runs at 10^3 to 10^6 items.
 MAX_IT_POINTS = 1 << 20
+# xsec: ~37 kB per angle (the Born sum's 64 x 64 float block per angle),
+# so 2^14 angles peak near 0.6 GB
+MAX_ANGLES = 1 << 14
+# coincidence: ~185 B per bin (curve, dataset and CSV block), so 2^22 bins
+# peak near 0.8 GB
+MAX_BINS = 1 << 22
+# greens: ~1.2 kB per radius (three Python result rows), so 2^19 radii peak
+# near 0.6 GB
+MAX_RADII = 1 << 19
 
 
 class ConfigError(Exception):
@@ -178,8 +190,6 @@ def cmd_it_check(cfg: Config, out_dir: Path, seed: int | None) -> int:
     sigma_x = 1.0 / (2.0 * sigma_p)
     errors = []
     for t in times:
-        if t * sigma_p / (mass * sigma_x) <= 10.0:
-            print(f"warning: t={t:g} is below the far-field threshold", file=sys.stderr)
         center = p0 * t / mass
         spread = math.sqrt(sigma_x ** 2 + (sigma_p * t / mass) ** 2)
         xgrid = centered_grid_1d(30.0 * spread + 2.0 * abs(center), n, center)
@@ -188,7 +198,11 @@ def cmd_it_check(cfg: Config, out_dir: Path, seed: int | None) -> int:
         exact_psi = to_position(
             propagate.evolve_free_exact(to_momentum(psi0), mass, float(t)), xgrid
         )
-        it_psi = imaging.apply_it_free(phi, mass, float(t), xgrid)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            it_psi = imaging.apply_it_free(phi, mass, float(t), xgrid)
+        for w in caught:
+            print(f"warning: t={t:g}: {w.message}", file=sys.stderr)
         de, di = exact_psi.density(), it_psi.density()
         region = _percentile_region(de)
         err = float(np.max(np.abs(di[region] - de[region]) / de[region]))
@@ -242,8 +256,8 @@ def cmd_coincidence(cfg: Config, out_dir: Path, seed: int | None) -> int:
         cfg.reject_unknown()
         if tau_max <= 0:
             raise ConfigError(f"tau_max must be positive, got {tau_max:g}")
-        if n_bins < 1:
-            raise ConfigError(f"n_bins must be at least 1, got {n_bins}")
+        if not 1 <= n_bins <= MAX_BINS:
+            raise ConfigError(f"n_bins must lie in [1, {MAX_BINS}], got {n_bins}")
         if n_events > coin.MAX_EVENTS:
             raise ConfigError(f"n_events must be at most {coin.MAX_EVENTS:g}, got {n_events:g}")
         with _config_values():
@@ -281,8 +295,8 @@ def cmd_xsec(cfg: Config, out_dir: Path, seed: int | None) -> int:
     energy = cfg.real("energy")
     n_angles = cfg.integer("n_angles", 19)
     cfg.reject_unknown()
-    if n_angles < 1:
-        raise ConfigError(f"n_angles must be at least 1, got {n_angles}")
+    if not 1 <= n_angles <= MAX_ANGLES:
+        raise ConfigError(f"n_angles must lie in [1, {MAX_ANGLES}], got {n_angles}")
     if mass <= 0 or a <= 0:
         raise ConfigError(f"mass and a must be positive, got mass={mass:g}, a={a:g}")
     if energy <= 0:
@@ -313,8 +327,8 @@ def cmd_greens(cfg: Config, out_dir: Path, seed: int | None) -> int:
     mu = cfg.real("mu", 1.0)
     mass = cfg.real("mass", 1.0)
     cfg.reject_unknown()
-    if n_r < 1:
-        raise ConfigError(f"n_r must be at least 1, got {n_r}")
+    if not 1 <= n_r <= MAX_RADII:
+        raise ConfigError(f"n_r must lie in [1, {MAX_RADII}], got {n_r}")
     radii = np.linspace(r_min, r_max, n_r)
     rows = []
     for R in radii:

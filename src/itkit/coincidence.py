@@ -70,8 +70,8 @@ class PairModelParams:
     Sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.Sigma <= 0:
-            raise DomainError("model widths must be positive")
+        if not (0 < self.sigma < math.inf and 0 < self.Sigma < math.inf):
+            raise DomainError("model widths must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ class PairGeometry:
     distance: float
 
     def __post_init__(self):
-        if self.mass <= 0 or self.distance <= 0:
-            raise DomainError("mass and distance must be positive")
+        if not (0 < self.mass < math.inf and 0 < self.distance < math.inf):
+            raise DomainError("mass and distance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,8 @@ class CoincidenceDataset:
 
 def characteristic_time(m: float, r: float, E: float) -> float:
     """Natural delay scale t = sqrt(m r^2 / E)."""
-    if m <= 0 or r <= 0 or E <= 0:
-        raise DomainError("m, r and E must be positive")
+    if not (0 < m < math.inf and 0 < r < math.inf and 0 < E < math.inf):
+        raise DomainError("m, r and E must be positive and finite")
     return math.sqrt(m * r * r / E)
 
 

@@ -27,7 +27,6 @@ from .errors import (
 )
 
 HBAR = 1.0
-ELECTRON_MASS = 1.0
 EV_TO_HARTREE = 1.0 / 27.211386245988
 CM_TO_BOHR = 1.0 / 5.29177210903e-9
 
@@ -37,23 +36,6 @@ MOMENTUM = "momentum"
 # Fraction of the peak density tolerated on the outermost grid shell
 # before an evolving operation refuses to trust the grid.
 BOUNDARY_DENSITY_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Hartree atomic units plus the two conversion factors used at the CLI."""
-
-    hbar: float = HBAR
-    electron_mass: float = ELECTRON_MASS
-    ev_to_hartree: float = EV_TO_HARTREE
-    cm_to_bohr: float = CM_TO_BOHR
-
-    def __post_init__(self):
-        if self.ev_to_hartree <= 0 or self.cm_to_bohr <= 0:
-            raise ValueError("conversion factors must be positive")
-
-
-ATOMIC_UNITS = UnitSystem()
 
 
 @dataclass(frozen=True)

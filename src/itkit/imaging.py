@@ -19,7 +19,7 @@ import numpy as np
 from .classical import van_vleck_time
 from .core import HBAR, ComplexField, Grid, _write_csv
 from .errors import CoverageError, DomainError, ShapeError
-from .propagate import interpolate_field, it_field_uniform
+from .propagate import _it_map, interpolate_field, it_field_uniform
 
 MACROSCOPIC_RADIUS = 1e3
 FAR_FIELD_RATIO = 10.0
@@ -107,13 +107,9 @@ def it_density(momentum_density, vv_factor):
 def it_point(momentum_field: ComplexField, m: float, t: float, r) -> ITResult:
     """Imaging map at a single detector position."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    d = momentum_field.grid.dimension
-    p_prime = m * r / t
-    phi = complex(interpolate_field(momentum_field, p_prime.reshape(1, -1), fill=0.0)[0])
-    vv = van_vleck_time(m, t, d)
-    density = float(vv * abs(phi) ** 2)
-    phase = float(m * np.dot(r, r) / (2.0 * HBAR * t))
-    return ITResult(density, p_prime, vv, phase)
+    p_prime, s, psi = _it_map(momentum_field, r.reshape(1, -1), t, 0.0, m)
+    vv = van_vleck_time(m, t, len(r))
+    return ITResult(float(abs(psi[0]) ** 2), p_prime[0], vv, float(s[0] / HBAR))
 
 
 def detection_probability(position_field: ComplexField, patch: DetectorPatch) -> float:
@@ -161,33 +157,32 @@ def many_particle_it(momentum_field: ComplexField, masses, times, positions) -> 
         raise ShapeError(
             f"joint momentum grid must have {n * d} axes, found {momentum_field.grid.dimension}"
         )
-    if np.any(times <= 0):
-        raise DomainError("times must be positive")
+    vv = van_vleck_time(masses, times, d)
     p_primes = (masses[:, None] / times[:, None]) * pos
-    point = p_primes.reshape(1, -1)
-    phi = complex(interpolate_field(momentum_field, point, fill=0.0)[0])
-    vv = float(np.prod((masses / times) ** d))
+    phi = complex(interpolate_field(momentum_field, p_primes.reshape(1, -1), fill=0.0)[0])
     return vv * abs(phi) ** 2
 
 
 def incident_amplitude(collimator_field: ComplexField, m: float, t_i: float, r_i) -> complex:
-    """Semiclassical incident-channel amplitude
+    """Semiclassical incident-channel amplitude in d dimensions
 
-    A_i = (-i)^{3/2} (2 pi hbar)^{3/2} (m/t_i)^{3/2} Phi_i(p_i),  p_i = -m r_i / t_i,
+    A_i = (-i)^{d/2} (2 pi hbar m / t_i)^{d/2} Phi_i(p_i),  p_i = -m r_i / t_i,
 
     so that |A_i|^2 is the incident probability density at the reaction volume.
     """
     if t_i <= 0:
         raise DomainError("t_i must be positive")
     r_i = np.atleast_1d(np.asarray(r_i, dtype=float))
+    d = collimator_field.grid.dimension
+    if len(r_i) != d:
+        raise ShapeError(f"r_i has {len(r_i)} coordinates, the collimator field {d} axes")
     p_i = -m * r_i / t_i
     phi = complex(interpolate_field(collimator_field, p_i.reshape(1, -1), fill=0.0)[0])
-    pref = np.exp(-3j * np.pi / 4.0) * (2.0 * np.pi * HBAR) ** 1.5 * (m / t_i) ** 1.5
-    return pref * phi
+    return np.exp(-1j * np.pi * d / 4.0) * (2.0 * np.pi * HBAR * m / t_i) ** (d / 2.0) * phi
 
 
 def incident_density(collimator_field: ComplexField, m: float, t_i: float, r_i) -> float:
-    """P_i = |A_i|^2 = (2 pi hbar)^3 (m/t_i)^3 |Phi_i(p_i)|^2."""
+    """P_i = |A_i|^2 = (2 pi hbar m / t_i)^d |Phi_i(p_i)|^2."""
     return abs(incident_amplitude(collimator_field, m, t_i, r_i)) ** 2
 
 

@@ -168,10 +168,8 @@ def kernel_mixed_semiclassical(r, p, t: float, tau: float, m: float, F=None) -> 
     T = t - tau
     if T < 0:
         raise DomainError("t must not precede tau")
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    d = len(r)
-    f = np.zeros(d) if F is None else np.atleast_1d(np.asarray(F, dtype=float))
-    s = action_S_tilde_uniform(r, p, T, m, f)
+    d = len(np.atleast_1d(r))
+    s = action_S_tilde_uniform(r, p, T, m, F)
     return (2.0 * np.pi * HBAR) ** (-d / 2.0) * np.exp(1j * s / HBAR)
 
 
@@ -180,10 +178,8 @@ def kernel_position_semiclassical(r, r_prime, t: float, tau: float, m: float, F=
     T = t - tau
     if T <= 0:
         raise DomainError("t must exceed tau")
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    d = len(r)
-    f = np.zeros(d) if F is None else np.atleast_1d(np.asarray(F, dtype=float))
-    s = action_S_uniform(r, r_prime, T, m, f)
+    d = len(np.atleast_1d(r))
+    s = action_S_uniform(r, r_prime, T, m, F)
     pref = (m / (2.0 * np.pi * 1j * HBAR * T)) ** (d / 2.0)
     return pref * np.exp(1j * s / HBAR)
 
@@ -281,28 +277,37 @@ def spa_integrate(momentum_field: ComplexField, action, r, t: float, tau: float)
     return amp * np.exp(1j * action(p_star, r, T) / HBAR) * phi
 
 
-def it_field_uniform(momentum_field: ComplexField, r_grid: Grid, t: float, tau: float,
-                     m: float, F=None) -> ComplexField:
-    """Asymptotic position field from the mixed-kernel SPA on every r point.
+def _it_map(momentum_field: ComplexField, r: np.ndarray, t: float, tau: float,
+            m: float, F=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Imaging map at detector points ``r`` of shape (k, d).
 
-    Uses the closed-form stationary momentum, so it is fast enough for full
-    grids.  Phi is interpolated cubically; points mapping outside its grid
-    contribute zero.  At F = 0 this is the free imaging map.
+    Returns the stationary momenta p' (k, d), the mixed actions S~ (k,) and
+    Psi(r, t) = (m/T)^{d/2} e^{-i pi d/4} e^{i S~(p', r)/hbar} Phi(p') (k,).
+    Phi is interpolated cubically; points mapping outside its grid give zero.
     """
     if momentum_field.representation != MOMENTUM:
         raise RepresentationError("expected a momentum-representation field")
     T = t - tau
     if T <= 0:
         raise DomainError("t must exceed tau")
-    d = r_grid.dimension
-    if momentum_field.grid.dimension != d:
-        raise ShapeError("momentum and position grids must share dimension")
-    f = np.zeros(d) if F is None else np.atleast_1d(np.asarray(F, dtype=float))
+    d = momentum_field.grid.dimension
+    if r.shape[-1] != d:
+        raise ShapeError(f"points have {r.shape[-1]} coordinates, the momentum grid {d} axes")
+    p_star = stationary_momentum(r, 0.0, T, m, F)
+    phi = interpolate_field(momentum_field, p_star, fill=0.0)
+    s = action_S_tilde_uniform(r, p_star, T, m, F)
+    amp = (m / T) ** (d / 2.0) * np.exp(-1j * np.pi * d / 4.0)
+    return p_star, s, amp * np.exp(1j * s / HBAR) * phi
+
+
+def it_field_uniform(momentum_field: ComplexField, r_grid: Grid, t: float, tau: float,
+                     m: float, F=None) -> ComplexField:
+    """Asymptotic position field from the mixed-kernel SPA on every r point.
+
+    Uses the closed-form stationary momentum, so it is fast enough for full
+    grids.  With F = None this is the free imaging map.
+    """
     axes = np.meshgrid(*r_grid.axes(), indexing="ij")
     pts = np.stack([a.ravel() for a in axes], axis=-1)
-    p_star = stationary_momentum(pts, np.zeros(d), T, m, f)
-    phi = interpolate_field(momentum_field, p_star, fill=0.0)
-    s = action_S_tilde_uniform(pts, p_star, T, m, f)
-    amp = (m / T) ** (d / 2.0) * np.exp(-1j * np.pi * d / 4.0)
-    vals = (amp * np.exp(1j * s / HBAR) * phi).reshape(tuple(r_grid.n))
-    return ComplexField(r_grid, POSITION, vals, t)
+    vals = _it_map(momentum_field, pts, t, tau, m, F)[2]
+    return ComplexField(r_grid, POSITION, vals.reshape(tuple(r_grid.n)), t)

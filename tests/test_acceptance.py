@@ -11,8 +11,6 @@ import time
 import numpy as np
 
 from itkit.classical import (
-    action_S_free,
-    action_S_tilde_free,
     action_S_tilde_uniform,
     action_S_uniform,
     characteristic_action_W_free,
@@ -258,12 +256,8 @@ def test_criterion_7_gradient_legendre_suite():
         F = rng.uniform(-0.05, 0.05, 3) if rng.random() < 0.5 else None
         p_prime = stationary_momentum(r, rp, T, m, F)
 
-        if F is None:
-            s_of = lambda rr, rrpp, TT: action_S_free(rr, rrpp, TT, m)
-            st_of = lambda rr, pp, TT: action_S_tilde_free(rr, pp, TT, m)
-        else:
-            s_of = lambda rr, rrpp, TT: action_S_uniform(rr, rrpp, TT, m, F)
-            st_of = lambda rr, pp, TT: action_S_tilde_uniform(rr, pp, TT, m, F)
+        s_of = lambda rr, rrpp, TT: action_S_uniform(rr, rrpp, TT, m, F)
+        st_of = lambda rr, pp, TT: action_S_tilde_uniform(rr, pp, TT, m, F)
 
         # Legendre relation at the stationary point
         gap = abs(st_of(r, p_prime, T) - float(np.dot(p_prime, rp)) - s_of(r, rp, T))
@@ -293,7 +287,7 @@ def test_criterion_7_gradient_legendre_suite():
         dW_dE = (characteristic_action_W_free([R], [0.0], E + h, m)
                  - characteristic_action_W_free([R], [0.0], E - h, m)) / (2 * h)
         worst = max(worst, abs(dW_dE - T) / T)
-        S = action_S_free(np.array([R]), np.array([0.0]), T, m)
+        S = action_S_uniform(np.array([R]), np.array([0.0]), T, m)
         worst = max(worst, abs(S + E * T - W) / max(1.0, abs(W)))
     elapsed = time.time() - start
     ok = worst < 1e-6 and elapsed < 1.0

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from itkit.classical import (
     Trajectory,
-    action_S_free,
-    action_S_tilde_free,
     action_S_tilde_uniform,
     action_S_uniform,
     characteristic_action_W_free,
@@ -29,20 +27,20 @@ positive = st.floats(0.1, 10.0, allow_nan=False)
 
 class TestActions:
     def test_free_values(self):
-        assert action_S_free(2.0, 0.0, 1.0, 1.0) == pytest.approx(2.0)
-        assert action_S_free(1.5, 1.5, 3.0, 2.0) == 0.0
-        assert action_S_free(1.0, 0.0, 2.0, 2.0) == pytest.approx(0.5)
+        assert action_S_uniform(2.0, 0.0, 1.0, 1.0) == pytest.approx(2.0)
+        assert action_S_uniform(1.5, 1.5, 3.0, 2.0) == 0.0
+        assert action_S_uniform(1.0, 0.0, 2.0, 2.0) == pytest.approx(0.5)
 
     def test_free_requires_positive_time(self):
         with pytest.raises(DomainError):
-            action_S_free(1.0, 0.0, 0.0)
+            action_S_uniform(1.0, 0.0, 0.0)
 
     def test_tilde_free_values(self):
-        assert action_S_tilde_free(0.0, 1.0, 2.0, 1.0) == pytest.approx(-1.0)
-        assert action_S_tilde_free(3.0, 1.0, 0.0, 1.0) == pytest.approx(3.0)
+        assert action_S_tilde_uniform(0.0, 1.0, 2.0, 1.0) == pytest.approx(-1.0)
+        assert action_S_tilde_uniform(3.0, 1.0, 0.0, 1.0) == pytest.approx(3.0)
 
     def test_uniform_reduces_to_free(self):
-        s0 = action_S_free(1.3, -0.2, 2.1, 1.4)
+        s0 = action_S_uniform(1.3, -0.2, 2.1, 1.4)
         assert action_S_uniform(1.3, -0.2, 2.1, 1.4, 0.0) == pytest.approx(s0)
 
     def test_uniform_value(self):
@@ -163,7 +161,7 @@ class TestEnergyDomain:
         # S + E T = W on the energy-E free trajectory
         R, E, m = 2.0, 0.6, 1.0
         T, _ = time_of_flight_free(R, 0.0, E, m)
-        s = action_S_free(R, 0.0, T, m)
+        s = action_S_uniform(R, 0.0, T, m)
         w = characteristic_action_W_free(R, 0.0, E, m)
         assert s + E * T == pytest.approx(w, rel=1e-10)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from itkit.cli import main
+from itkit.cli import MAX_ANGLES, MAX_BINS, MAX_RADII, main
 
 
 def write_config(tmp_path, text, name="config.txt"):
@@ -104,11 +104,13 @@ class TestItCheckCommand:
         assert (out / "exact_density_t500.csv").is_file()
         assert (out / "it_density_t1000.csv").is_file()
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_near_field_warning(self, tmp_path, capsys):
+        # the library's warning, reported once as one line
         code, _ = run(tmp_path, "it-check", "times = 5\nn_points = 8192\n")
         assert code == 0
-        assert "far-field" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("warning: t=5:")
+        assert err.count("far-field") == 1
 
 
 class TestCoincidenceCommand:
@@ -273,6 +275,11 @@ class TestInvalidInputExitCodes:
         # refused before any work
         ("coincidence", "distance = 1\nenergy = 8\nsigma = 1\nSigma = 10\nn_events = 1e30\n"),
         ("it-check", "n_points = 100000000000\n"),
+        # one past each size bound, refused before the work is allocated
+        ("xsec", f"energy = 0.5\nn_angles = {MAX_ANGLES + 1}\n"),
+        ("coincidence", "distance = 1\nenergy = 8\nsigma = 1\nSigma = 10\n"
+                        f"n_bins = {MAX_BINS + 1}\n"),
+        ("greens", f"energy = 0.5\nr_min = 1\nr_max = 10\nn_r = {MAX_RADII + 1}\n"),
     ])
     def test_config_error(self, tmp_path, capsys, command, config):
         code, out = run(tmp_path, command, config)

@@ -317,6 +317,20 @@ class TestNumericInversion:
 
 
 class TestPairModel:
+    @pytest.mark.parametrize("build", [
+        lambda x: PairGeometry(x, 1.0),
+        lambda x: PairGeometry(1.0, x),
+        lambda x: PairModelParams(x, 10.0),
+        lambda x: PairModelParams(1.0, x),
+        lambda x: characteristic_time(x, 1.0, 1.0),
+        lambda x: characteristic_time(1.0, x, 1.0),
+        lambda x: characteristic_time(1.0, 1.0, x),
+    ])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_non_positive_or_non_finite(self, build, x):
+        with pytest.raises(DomainError):
+            build(x)
+
     def test_exchange_symmetry(self):
         params = PairModelParams(1.0, 10.0)
         p1 = np.array([0.3, -0.2, 1.1])

@@ -124,6 +124,11 @@ class TestItDensity:
         assert res.position_density == pytest.approx((m / t) * peak_phi, rel=1e-5)
         assert res.phase == pytest.approx(m * t ** 2 / (2 * t))
 
+    def test_point_form_rejects_mismatched_dimension(self):
+        phi = TestIncidentChannel().packet_3d()
+        with pytest.raises(ShapeError):
+            it_point(phi, 1.0, 100.0, [100.0])
+
 
 class TestDetectionProbability:
     def make_field(self, value=1e-6 + 0j):
@@ -301,6 +306,31 @@ class TestIncidentChannel:
         phi = self.packet_3d()
         with pytest.raises(DomainError):
             incident_amplitude(phi, 1.0, 0.0, [100.0, 0.0, 0.0])
+
+    def test_rejects_mismatched_dimension(self):
+        with pytest.raises(ShapeError):
+            incident_amplitude(self.packet_3d(), 1.0, 100.0, [100.0])
+
+    def test_separable_amplitude_is_product_of_1d(self):
+        # Phi = Phi_x Phi_y Phi_z gives A_3 = A_x A_y A_z, each A in its own
+        # dimension; p_i sits on a grid node, where the 3-D cubic interpolant
+        # is a few parts in 1e6 off the node value (a d = 3 prefactor on each
+        # 1-D amplitude would be off by orders of magnitude)
+        from itkit.core import Grid
+        n, dp, m, t_i = 16, 0.1, 1.0, 100.0
+        origin = (-0.8, -0.7, -0.9)
+        grid = Grid(n=(n, n, n), spacing=(dp, dp, dp), origin=origin)
+        axes = grid.axes()
+        factors = [np.exp(-(a - c) ** 2 / 0.1 + 1j * k * a)
+                   for a, c, k in zip(axes, (0.1, -0.2, 0.0), (0.3, -1.0, 2.0))]
+        joint = ComplexField(grid, MOMENTUM, np.einsum("i,j,k->ijk", *factors))
+        p_i = np.array([axes[0][9], axes[1][5], axes[2][8]])
+        r_i = -p_i * t_i / m
+        a3 = incident_amplitude(joint, m, t_i, r_i)
+        a1 = [incident_amplitude(ComplexField(Grid((n,), (dp,), (o,)), MOMENTUM, f),
+                                 m, t_i, [r]) for o, f, r in zip(origin, factors, r_i)]
+        assert abs(a3) > 0
+        assert a3 == pytest.approx(a1[0] * a1[1] * a1[2], rel=1e-5)
 
 
 class TestChained:

@@ -325,7 +325,6 @@ class TestUniformFieldMap:
         assert rel < 1e-4
 
     def test_agrees_with_spa_pointwise(self):
-        from itkit.classical import action_S_tilde_free
         sigma_p, p0, m, t = 0.25, 1.0, 1.0, 500.0
         pg = centered_grid_1d(10 * sigma_p * 4, 2048, p0)
         phi = sample_gaussian(GaussianPacketSpec([p0], [sigma_p]), pg, MOMENTUM)
@@ -333,7 +332,7 @@ class TestUniformFieldMap:
         field = it_field_uniform(phi, rg, t, 0.0, m)
 
         def s_tilde(p, r, T):
-            return action_S_tilde_free(np.asarray(r), np.asarray(p), T, m)
+            return action_S_tilde_uniform(np.asarray(r), np.asarray(p), T, m)
 
         r = float(rg.axis(0)[16])
         val = spa_integrate(phi, s_tilde, [r], t, 0.0)
