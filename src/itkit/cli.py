@@ -329,6 +329,12 @@ def cmd_greens(cfg: Config, out_dir: Path, seed: int | None) -> int:
     cfg.reject_unknown()
     if not 1 <= n_r <= MAX_RADII:
         raise ConfigError(f"n_r must lie in [1, {MAX_RADII}], got {n_r}")
+    if n_particles < 1:
+        raise ConfigError(f"n_particles must be at least 1, got {n_particles}")
+    if mass <= 0 or mu <= 0:
+        raise ConfigError(f"mass and mu must be positive, got mass={mass:g}, mu={mu:g}")
+    if energy <= 0:
+        raise InfeasibleError(f"energy must be positive, got {energy:g}")
     radii = np.linspace(r_min, r_max, n_r)
     rows = []
     for R in radii:

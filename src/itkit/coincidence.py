@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
 from .core import _write_csv
 from .errors import DomainError, FitError, InfeasibleError
@@ -215,6 +214,9 @@ def invert_delays_numeric(obs: DelayObservation) -> np.ndarray:
     lo = hi_eff * 1e-12
     if h(lo) >= 0.0:
         raise InfeasibleError("no positive-momentum solution brackets the energy shell")
+    # imported here, not at module level: scipy.optimize is ~0.5 s of start-up
+    from scipy.optimize import brentq
+
     p1 = brentq(h, lo, hi_eff, xtol=1e-300, rtol=8.881784197001252e-16,
                 maxiter=NEWTON_MAX_ITER)
     p = np.array(momenta(p1))
@@ -323,6 +325,9 @@ def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
 
     def resid(x):
         return w * (_reduced_curve(p1, p2, g.distance, x[0], x[1]) - counts)
+
+    # imported here, not at module level: scipy.optimize is ~0.5 s of start-up
+    from scipy.optimize import least_squares
 
     sol = least_squares(resid, x0=[kappa0, scale0], method="lm", xtol=1e-14,
                         ftol=1e-14, gtol=1e-14, max_nfev=2000)

@@ -116,6 +116,8 @@ class Grid:
 
 def centered_grid_1d(extent: float, n: int, center: float = 0.0) -> Grid:
     """Convenience: 1-D grid of total length ``extent`` centred on ``center``."""
+    if n <= 0:
+        raise DomainError(f"need a positive number of points, got {n}")
     dx = extent / n
     return Grid((n,), (dx,), (center - dx * (n // 2),))
 

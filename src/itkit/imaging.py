@@ -115,9 +115,10 @@ def it_point(momentum_field: ComplexField, m: float, t: float, r) -> ITResult:
 def detection_probability(position_field: ComplexField, patch: DetectorPatch) -> float:
     """dP = |Psi(r, t)|^2 r^2 dOmega dr at a detector patch."""
     grid = position_field.grid
-    for ax in range(grid.dimension):
+    # a patch with the wrong number of coordinates is refused by the interpolation
+    for ax, x in zip(range(grid.dimension), patch.position):
         lo, hi = grid.bounds(ax)
-        if not (lo <= patch.position[ax] <= hi):
+        if not (lo <= x <= hi):
             raise CoverageError("detector patch lies outside the field grid")
     val = interpolate_field(position_field, patch.position.reshape(1, -1))[0]
     dens = abs(complex(val)) ** 2

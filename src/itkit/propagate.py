@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-from scipy.interpolate import RegularGridInterpolator, make_interp_spline
 
 from .classical import (
     action_S_tilde_uniform,
@@ -146,6 +144,9 @@ def evolve_split_operator(field: ComplexField, spec: EvolutionSpec) -> ComplexFi
     drift = np.fft.ifftshift(
         np.exp(-1j * (_p_squared(pgrid) * dt + p_dot_f * dt ** 2) / (2.0 * m * HBAR))
     )
+    # imported here, not at module level: scipy.fft is ~0.25 s of start-up
+    import scipy.fft
+
     norm_in = field.norm()
     vals = field.values * half_kick
     for step in range(n_steps):
@@ -188,19 +189,29 @@ def interpolate_field(field: ComplexField, points: np.ndarray,
                       fill: complex | None = None) -> np.ndarray:
     """Deterministic cubic interpolation of field values at off-grid points.
 
-    Points outside the grid raise a support error unless ``fill`` is given
-    (useful when the field has decayed to zero at its edges).
+    ``points`` has shape (..., d) for a grid of d axes; any other last axis
+    raises a shape error.  Points outside the grid raise a support error
+    unless ``fill`` is given (useful when the field has decayed to zero at
+    its edges).
     """
-    if field.grid.dimension == 1:
+    points = np.asarray(points)
+    d = field.grid.dimension
+    if points.shape[-1:] != (d,):
+        raise ShapeError(f"points of shape {points.shape} need {d} coordinates, one per grid axis")
+    # imported here, not at module level: scipy.interpolate is ~0.5 s of start-up
+    from scipy.interpolate import RegularGridInterpolator, make_interp_spline
+
+    if d == 1:
         # a true spline: much more accurate than the local tensor method
         axis = field.grid.axes()[0]
-        q = np.asarray(points)[..., 0]
+        q = points[..., 0]
         inside = (q >= axis[0]) & (q <= axis[-1])
         if fill is None and not np.all(inside):
             raise SupportError("requested point outside the grid support")
         spline = make_interp_spline(axis, field.values, k=3)
-        out = np.where(inside, spline(np.clip(q, axis[0], axis[-1])), fill)
-        return out
+        out = spline(np.clip(q, axis[0], axis[-1]))
+        # without a fill every point is inside; np.where with None would give objects
+        return out if fill is None else np.where(inside, out, fill)
     interp = RegularGridInterpolator(
         tuple(field.grid.axes()), field.values, method="cubic",
         bounds_error=fill is None, fill_value=fill,

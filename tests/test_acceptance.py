@@ -17,6 +17,7 @@ from itkit.classical import (
     stationary_momentum,
     time_of_flight_free,
 )
+from itkit.cli import _percentile_region
 from itkit.coincidence import (
     PairGeometry,
     PairModelParams,
@@ -59,15 +60,6 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def probability_region(density, frac=0.99):
-    order = np.argsort(density)[::-1]
-    csum = np.cumsum(density[order])
-    k = int(np.searchsorted(csum, frac * csum[-1])) + 1
-    mask = np.zeros(density.size, dtype=bool)
-    mask[order[:k]] = True
-    return mask
-
-
 def test_criterion_1_imaging_map_convergence():
     start = time.time()
     m, sigma_p, p0 = 1.0, 0.25, 1.0
@@ -79,7 +71,7 @@ def test_criterion_1_imaging_map_convergence():
         from itkit.core import to_position
         exact = to_position(evolve_free_exact(phi, m, t), rgrid).density()
         it = apply_it_free(phi, m, t, rgrid).density()
-        region = probability_region(exact)
+        region = _percentile_region(exact)
         errors.append(float(np.max(np.abs(it[region] - exact[region]) / exact[region])))
     elapsed = time.time() - start
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
@@ -112,7 +104,7 @@ def test_criterion_2_uniform_field_exactness():
 
     d_ref = ref.density()[32768:32768 + 65536]
     d_it = approx.density()
-    region = probability_region(d_ref)
+    region = _percentile_region(d_ref)
     err = float(np.max(np.abs(d_it[region] - d_ref[region]) / d_ref[region]))
     elapsed = time.time() - start
     ok = err < 1e-6 and elapsed < 30.0

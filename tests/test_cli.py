@@ -280,6 +280,12 @@ class TestInvalidInputExitCodes:
         ("coincidence", "distance = 1\nenergy = 8\nsigma = 1\nSigma = 10\n"
                         f"n_bins = {MAX_BINS + 1}\n"),
         ("greens", f"energy = 0.5\nr_min = 1\nr_max = 10\nn_r = {MAX_RADII + 1}\n"),
+        # found by the fuzz: config mistakes, not tracebacks (exit 1) or
+        # numerical failures (exit 4)
+        ("it-check", "n_points = 0\n"),
+        ("greens", "n_particles = 0\nenergy = 0.5\nr_min = 1\nr_max = 10\n"),
+        ("greens", "mass = 0\nenergy = 0.5\nr_min = 1\nr_max = 10\n"),
+        ("greens", "n_particles = 2\nmu = -1\nenergy = 0.5\nr_min = 1\nr_max = 10\n"),
     ])
     def test_config_error(self, tmp_path, capsys, command, config):
         code, out = run(tmp_path, command, config)
@@ -301,6 +307,7 @@ class TestInvalidInputExitCodes:
         ("xsec", "energy = -1\n"),
         ("xsec", "energy = 0\n"),
         ("coincidence", "distance = 1\nenergy = -1\nsigma = 1\nSigma = 10\n"),
+        ("greens", "energy = -1\nr_min = 1\nr_max = 10\n"),
     ])
     def test_infeasible(self, tmp_path, capsys, command, config):
         code, out = run(tmp_path, command, config)
@@ -315,11 +322,21 @@ SIMULATE_KEYS = {"mass": "1.0", "distance": "1.0", "energy": "8.0", "sigma": "1.
 FIT_KEYS = {"mass": "1.0", "distance": "1.0", "energy": "8.0", "sigma_init": "0.8",
             "Sigma_init": "10.0"}
 XSEC_KEYS = {"v0": "0.01", "a": "1.0", "mass": "1.0", "energy": "0.5", "n_angles": "3"}
+DELAYS_KEYS = {"masses": "1.0, 1.0", "distances": "1.0, 1.0", "energy": "1.0", "delays": "1.0"}
+GREENS_KEYS = {"n_particles": "1", "energy": "0.5", "r_min": "1.0", "r_max": "100.0",
+               "n_r": "5", "mu": "1.0", "mass": "1.0"}
+IT_CHECK_KEYS = {"mass": "1.0", "p0": "1.0", "sigma_p": "0.25",
+                 "times": "250, 500, 1000, 2000", "n_points": "1024"}
 
 
-def _fuzzed(keys):
-    return st.fixed_dictionaries(
-        {k: st.sampled_from([v, "0", "-1", "nan", "inf"]) for k, v in keys.items()})
+def _fuzzed(keys, **ranges):
+    """Each key keeps its value or takes 0, -1, nan or inf; a key in ``ranges``
+    may also take any integer in its (low, high) range."""
+    def values(key, value):
+        fixed = st.sampled_from([value, "0", "-1", "nan", "inf"])
+        return fixed | st.integers(*ranges[key]).map(str) if key in ranges else fixed
+
+    return st.fixed_dictionaries({k: values(k, v) for k, v in keys.items()})
 
 
 @pytest.fixture(scope="module")
@@ -336,11 +353,18 @@ class TestCliFuzz:
     @given(st.one_of(
         _fuzzed(SIMULATE_KEYS).map(lambda c: ("coincidence", {"mode": "simulate", **c})),
         _fuzzed(FIT_KEYS).map(lambda c: ("coincidence", {"mode": "fit", **c})),
-        _fuzzed(XSEC_KEYS).map(lambda c: ("xsec", c))))
+        _fuzzed(XSEC_KEYS).map(lambda c: ("xsec", c)),
+        _fuzzed(DELAYS_KEYS).map(lambda c: ("delays", c)),
+        _fuzzed(GREENS_KEYS, n_particles=(-1, 4)).map(lambda c: ("greens", c)),
+        # grid sizes up to 4096 points keep each it-check run short
+        _fuzzed(IT_CHECK_KEYS, n_points=(-1, 4096)).map(lambda c: ("it-check", c))))
     @example(("coincidence", {"mode": "simulate", **SIMULATE_KEYS}))
     @example(("coincidence", {"mode": "fit", **FIT_KEYS}))
     @example(("xsec", XSEC_KEYS))
-    @settings(max_examples=100, deadline=None)
+    @example(("delays", DELAYS_KEYS))
+    @example(("greens", GREENS_KEYS))
+    @example(("it-check", IT_CHECK_KEYS))
+    @settings(max_examples=200, deadline=None)
     def test_exit_code_is_typed(self, fuzz_dir, command_config):
         # every outcome is a documented exit code; nothing escapes main
         command, keys = command_config

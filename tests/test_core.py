@@ -60,6 +60,8 @@ class TestGrid:
         lambda: GaussianPacketSpec(p0=[1.0], sigma_p=[-1.0]),
         lambda: GaussianPacketSpec(p0=[1.0], sigma_p=[float("nan")]),
         lambda: UniformField([float("inf")]),
+        # refused before its spacing divides by zero
+        lambda: centered_grid_1d(10.0, 0),
     ])
     def test_validators_raise_domain_error(self, make):
         # a DomainError is an ItkitError, which the CLI maps to an exit code

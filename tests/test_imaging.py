@@ -8,6 +8,7 @@ from itkit.core import (
     POSITION,
     ComplexField,
     GaussianPacketSpec,
+    Grid,
     centered_grid_1d,
     sample_gaussian,
     to_momentum,
@@ -151,6 +152,20 @@ class TestDetectionProbability:
         field = self.make_field()
         patch = DetectorPatch([5000.0], 1e-4, 0.5, 100.0)
         with pytest.raises(CoverageError):
+            detection_probability(field, patch)
+
+    def test_patch_with_more_coordinates_than_field_refused(self):
+        # not answered from x = 2000 alone with the 3-D patch volume
+        field = self.make_field()
+        patch = DetectorPatch([2000.0, 5000.0, -7000.0], 0.01, 1.0, 100.0)
+        with pytest.raises(ShapeError):
+            detection_probability(field, patch)
+
+    def test_patch_with_fewer_coordinates_than_field_refused(self):
+        grid = Grid((16, 16, 16), (500.0,) * 3, (-4000.0,) * 3)
+        field = ComplexField(grid, POSITION, np.ones((16,) * 3, dtype=complex), 100.0)
+        patch = DetectorPatch([2000.0], 1e-4, 0.5, 100.0)
+        with pytest.raises(ShapeError):
             detection_probability(field, patch)
 
     def test_patch_must_be_macroscopic(self):

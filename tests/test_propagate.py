@@ -350,6 +350,30 @@ class TestUniformFieldMap:
             it_field_uniform(phi, rg, 100.0, 0.0, 1.0)
 
 
+class TestInterpolateField:
+    def test_1d_refuses_extra_columns(self):
+        # the 1-D spline must not answer from the first column alone
+        field = ComplexField(centered_grid_1d(400.0, 64, 2000.0), POSITION,
+                             np.full(64, 1e-3 + 0j), 100.0)
+        with pytest.raises(ShapeError):
+            interpolate_field(field, [[2000.0, 1e9]])
+
+    def test_1d_without_fill_returns_complex_array(self):
+        phi = sample_gaussian(GaussianPacketSpec([1.0], [0.25]), centered_grid_1d(4.0, 256, 1.0),
+                              MOMENTUM)
+        out = interpolate_field(phi, phi.grid.axis(0)[100:110, None])
+        assert out.dtype == np.complex128
+        np.testing.assert_allclose(out, phi.values[100:110], rtol=1e-12)
+
+    @pytest.mark.parametrize("grid_dim, point_dim", [(2, 3), (2, 1), (3, 2)])
+    def test_nd_width_mismatch_is_shape_error(self, grid_dim, point_dim):
+        # an in-range point of the wrong width is a shape error, not a support error
+        grid = Grid((16,) * grid_dim, (0.5,) * grid_dim, (-4.0,) * grid_dim)
+        field = ComplexField(grid, POSITION, np.ones((16,) * grid_dim, dtype=complex))
+        with pytest.raises(ShapeError):
+            interpolate_field(field, np.zeros((1, point_dim)))
+
+
 def it_field_uniform_loop(momentum_field, r_grid, t, tau, m, F=None):
     """Per-point reference for it_field_uniform: one classical call per point."""
     T = t - tau

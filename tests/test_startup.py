@@ -1,0 +1,117 @@
+"""Start-up guards: each command imports only the scipy it runs.
+
+Importing ``itkit.cli`` must load no scipy module, and ``xsec``, ``greens``
+and a ``coincidence`` simulation must finish without one; ``delays`` needs
+``scipy.optimize`` and nothing from ``scipy.interpolate``.  Every check runs
+in a fresh interpreter, because by the time these tests run the pytest
+process has imported scipy through other test modules.  The same fresh
+interpreters make a first call through each function-local scipy import,
+which no other test can reach before scipy is already loaded.
+
+When ``itkit.bessel`` is replaced by ``scipy.special.hankel1`` (the ROADMAP
+item that deletes it), import ``hankel1`` inside
+``scatter.green_hyper_hankel``: a module-level import in ``itkit.scatter``
+loads scipy for ``xsec`` and ``greens`` and fails these guards.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import itkit
+
+SRC = str(Path(itkit.__file__).resolve().parents[1])
+
+# the README configs of the commands guarded here
+README_CONFIGS = {
+    "coincidence": "mode = simulate\nmass = 1.0\ndistance = 1.0\nenergy = 8.0\nsigma = 1.0\n"
+                   "Sigma = 10.0\nn_events = 30000\n",
+    "xsec": "v0 = 0.01\na = 1.0\nenergy = 0.5\nn_angles = 19\n",
+    "greens": "n_particles = 1\nenergy = 0.5\nr_min = 1.0\nr_max = 100.0\nn_r = 50\n",
+    "delays": "masses = 1.0, 1.0\ndistances = 1.0, 1.0\nenergy = 1.0\ndelays = 1.0\n",
+}
+
+# appended to every script: the scipy modules loaded, as the last stdout line
+REPORT_SCIPY = (
+    "\nimport json, sys\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+)
+
+
+def fresh(script: str, *args: str) -> tuple[str, list[str]]:
+    """Run ``script`` in a new interpreter; return its stdout and the scipy modules it loaded."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script + REPORT_SCIPY, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *lines, last = proc.stdout.splitlines()
+    return "\n".join(lines), json.loads(last)
+
+
+def test_import_cli_loads_no_scipy():
+    _, loaded = fresh("import itkit.cli")
+    assert loaded == []
+
+
+def run_command(tmp_path, command: str) -> tuple[int, list[str]]:
+    config = tmp_path / f"{command}.txt"
+    config.write_text(README_CONFIGS[command])
+    out, loaded = fresh("import sys\nfrom itkit import cli\nprint(cli.main(sys.argv[1:]))",
+                        command, "--config", str(config), "--out", str(tmp_path / "out"))
+    return int(out.splitlines()[-1]), loaded
+
+
+@pytest.mark.parametrize("command", ["xsec", "greens", "coincidence"])
+def test_command_loads_no_scipy(tmp_path, command):
+    code, loaded = run_command(tmp_path, command)
+    assert code == 0
+    assert loaded == []
+
+
+def test_delays_loads_optimize_only(tmp_path):
+    code, loaded = run_command(tmp_path, "delays")
+    assert code == 0
+    assert "scipy.optimize" in loaded
+    assert not any(m.startswith("scipy.interpolate") for m in loaded)
+
+
+# first calls through each deferred import, each checked against a known
+# property, with the scipy module the call has to load
+FIRST_CALLS = {
+    "fit_pair_model": ("scipy.optimize", """
+from itkit.coincidence import PairGeometry, PairModelParams, fit_pair_model, synthesize_dataset
+geometry = PairGeometry(1.0, 1.0)
+ds = synthesize_dataset(geometry, PairModelParams(1.0, 10.0), 8.0, 30000, seed=1)
+params, _, _ = fit_pair_model(ds, PairModelParams(0.8, 10.0))
+print(abs(params.sigma - 1.0) < 0.1)
+"""),
+    "evolve_split_operator": ("scipy.fft", """
+from itkit import GaussianPacketSpec, POSITION, UniformField, centered_grid_1d, sample_gaussian
+from itkit.propagate import EvolutionSpec, evolve_split_operator
+psi = sample_gaussian(GaussianPacketSpec([1.0], [0.25], [0.0]),
+                      centered_grid_1d(600.0, 2048, 0.0), POSITION)
+out = evolve_split_operator(psi, EvolutionSpec(1.0, 0.0, 50.0, 10, UniformField([1e-3])))
+print(abs(out.norm() - psi.norm()) < 1e-9)
+"""),
+    "interpolate_field": ("scipy.interpolate", """
+import numpy as np
+from itkit import GaussianPacketSpec, MOMENTUM, centered_grid_1d, sample_gaussian
+from itkit.propagate import interpolate_field
+phi = sample_gaussian(GaussianPacketSpec([1.0], [0.25]), centered_grid_1d(4.0, 256, 1.0), MOMENTUM)
+nodes = phi.grid.axis(0)[100:110, None]
+print(np.allclose(interpolate_field(phi, nodes), phi.values[100:110], rtol=1e-12, atol=0.0))
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_CALLS))
+def test_first_call_through_deferred_import(name):
+    module, script = FIRST_CALLS[name]
+    out, loaded = fresh(script)
+    assert out.splitlines()[-1] == "True"
+    assert module in loaded
