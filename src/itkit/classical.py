@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import UniformField, _write_csv
-from .errors import CausticError, DomainError, SingularityError
+from .errors import CausticError, DomainError, ShapeError, SingularityError
 
 FD_REL_STEP = 1e-5
 
@@ -47,12 +47,17 @@ class Trajectory:
             a = _vec(getattr(self, name))
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        if len({self.r_start.shape, self.p_start.shape, self.r_end.shape, self.p_end.shape}) > 1:
+            raise ShapeError("r_start, p_start, r_end and p_end need the same length")
         T = self.duration
         if T <= 0:
             raise DomainError("trajectory requires t_end > t_start")
         f = np.zeros_like(self.r_start) if self.field is None else self.field.force
-        scale = max(1.0, float(np.max(np.abs(self.r_end))))
-        r_pred = self.r_start + self.p_start * T / self.mass + f * T ** 2 / (2.0 * self.mass)
+        terms = (self.r_start, self.p_start * T / self.mass, f * T ** 2 / (2.0 * self.mass))
+        # rounding in r_pred grows with its largest term, which on a long
+        # weak-field path (p T/m ~ F T^2/2m >> r) far exceeds |r_end|
+        scale = max(1.0, float(np.max(np.abs([*terms, self.r_end]))))
+        r_pred = sum(terms)
         p_pred = self.p_start + f * T
         if np.max(np.abs(r_pred - self.r_end)) > 1e-9 * scale:
             raise DomainError("endpoints do not satisfy the equation of motion")
@@ -206,22 +211,20 @@ def enumerate_trajectories_uniform_1d(
     found: list[Trajectory] = []
     for sign in (+1.0, -1.0):
         p0 = sign * p0_mag
-        if F == 0.0:
-            if p0 == 0.0:
-                continue
-            T = m * (r - r_prime) / p0
-            roots = [T] if T > 0 else []
-        else:
-            # r = r' + p0 T/m + F T^2/(2m): quadratic in T
-            a = F / (2.0 * m)
-            b = p0 / m
-            c = -(r - r_prime)
-            disc = b * b - 4.0 * a * c
-            if disc < 0:
-                continue
-            sq = math.sqrt(disc)
-            roots = [t for t in ((-b + sq) / (2 * a), (-b - sq) / (2 * a)) if t > 1e-14]
-        for T in roots:
+        # r = r' + p0 T/m + F T^2/(2m): a T^2 + b T + c = 0, linear when F = 0
+        a = F / (2.0 * m)
+        b = p0 / m
+        c = -(r - r_prime)
+        disc = b * b - 4.0 * a * c
+        if disc < 0:
+            continue
+        # the root pair without cancellation (Numerical Recipes 5.6): -b +- sqrt(disc)
+        # loses every digit of the short root once |4ac| << b^2, as in a weak field
+        q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
+        if q == 0.0:
+            continue
+        roots = [c / q] + ([q / a] if a != 0.0 else [])
+        for T in (t for t in roots if t > 1e-14):
             p_end = p0 + F * T
             if abs(p_end ** 2 / (2.0 * m) - F * r - E) > 1e-10 * max(1.0, abs(E)):
                 raise CausticError("energy drift on enumerated trajectory")

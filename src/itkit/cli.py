@@ -97,9 +97,22 @@ class Config:
         self.ev = ev
         self.cm = cm
 
-    def _get(self, key: str, default=None) -> str | None:
+    def _lookup(self, key: str, default, parse, expected: str):
+        """Mark ``key`` used; give its default when absent, else ``parse`` its value.
+
+        A default of None makes the key required.  A ``ValueError`` from
+        ``parse`` is reported as the value not being ``expected``.
+        """
         self.used.add(key)
-        return self.raw.get(key, default)
+        raw = self.raw.get(key)
+        if raw is None:
+            if default is None:
+                raise ConfigError(f"missing required key '{key}'")
+            return default
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"key '{key}': {expected}: {raw!r}") from exc
 
     def _convert(self, key: str, value: float) -> float:
         if not math.isfinite(value):
@@ -111,46 +124,20 @@ class Config:
         return value
 
     def real(self, key: str, default: float | None = None) -> float:
-        raw = self._get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key '{key}'")
-            return default
-        try:
-            return self._convert(key, float(raw))
-        except ValueError as exc:
-            raise ConfigError(f"key '{key}': not a real number: {raw!r}") from exc
+        return self._lookup(key, default, lambda raw: self._convert(key, float(raw)),
+                            "not a real number")
 
     def integer(self, key: str, default: int | None = None) -> int:
-        raw = self._get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key '{key}'")
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key '{key}': not an integer: {raw!r}") from exc
+        return self._lookup(key, default, int, "not an integer")
 
     def vector(self, key: str, default=None) -> np.ndarray:
-        raw = self._get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key '{key}'")
-            return np.asarray(default, dtype=float)
-        try:
-            vals = [self._convert(key, float(s)) for s in raw.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"key '{key}': not a comma-separated vector: {raw!r}") from exc
-        return np.array(vals)
+        values = self._lookup(key, default,
+                              lambda raw: [self._convert(key, float(s)) for s in raw.split(",")],
+                              "not a comma-separated vector")
+        return np.asarray(values, dtype=float)
 
     def text(self, key: str, default: str | None = None) -> str:
-        raw = self._get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required key '{key}'")
-            return default
-        return raw
+        return self._lookup(key, default, str, "not text")
 
     def reject_unknown(self) -> None:
         unknown = set(self.raw) - self.used
@@ -188,11 +175,19 @@ def cmd_it_check(cfg: Config, out_dir: Path, seed: int | None) -> int:
         packet = GaussianPacketSpec(p0=[p0], sigma_p=[sigma_p], r0=[0.0])
         pgrid = centered_grid_1d(40.0 * sigma_p, n, p0)
     sigma_x = 1.0 / (2.0 * sigma_p)
-    errors = []
+    xgrids = []
     for t in times:
         center = p0 * t / mass
         spread = math.sqrt(sigma_x ** 2 + (sigma_p * t / mass) ** 2)
         xgrid = centered_grid_1d(30.0 * spread + 2.0 * abs(center), n, center)
+        # the reference packet's momenta (6 sigma) must fit in the band |p| <= pi/dx
+        # of its position grid, else it aliases and the error column is noise
+        if (abs(p0) + 6.0 * sigma_p) * xgrid.spacing[0] > math.pi:
+            raise ConfigError(f"n_points = {n} cannot resolve the packet at t = {t:g}: "
+                              f"spacing {xgrid.spacing[0]:.3g} bohr")
+        xgrids.append(xgrid)
+    errors = []
+    for t, xgrid in zip(times, xgrids):
         phi = sample_gaussian(packet, pgrid, "momentum")
         psi0 = sample_gaussian(packet, xgrid, "position")
         exact_psi = to_position(

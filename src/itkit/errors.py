@@ -33,8 +33,8 @@ class SingularityError(ItkitError, ValueError):
     """Evaluation exactly at a singular point (e.g. coincident endpoints)."""
 
 
-class SupportError(ItkitError, ValueError):
-    """Stationary point falls outside the sampled support of a field."""
+class SupportError(CoverageError):
+    """A requested point lies outside the sampled support of a field."""
 
 
 class StabilityError(ItkitError, ValueError):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .classical import van_vleck_time
 from .core import HBAR, ComplexField, Grid, _write_csv
-from .errors import CoverageError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 from .propagate import _it_map, interpolate_field, it_field_uniform
 
 MACROSCOPIC_RADIUS = 1e3
@@ -114,12 +114,7 @@ def it_point(momentum_field: ComplexField, m: float, t: float, r) -> ITResult:
 
 def detection_probability(position_field: ComplexField, patch: DetectorPatch) -> float:
     """dP = |Psi(r, t)|^2 r^2 dOmega dr at a detector patch."""
-    grid = position_field.grid
-    # a patch with the wrong number of coordinates is refused by the interpolation
-    for ax, x in zip(range(grid.dimension), patch.position):
-        lo, hi = grid.bounds(ax)
-        if not (lo <= x <= hi):
-            raise CoverageError("detector patch lies outside the field grid")
+    # a patch off the grid is a SupportError, which is a CoverageError
     val = interpolate_field(position_field, patch.position.reshape(1, -1))[0]
     dens = abs(complex(val)) ** 2
     return float(dens * patch.volume)

@@ -19,7 +19,7 @@ from itkit.classical import (
     van_vleck_time,
 )
 from itkit.core import UniformField
-from itkit.errors import CausticError, DomainError
+from itkit.errors import CausticError, DomainError, ShapeError
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
 positive = st.floats(0.1, 10.0, allow_nan=False)
@@ -181,6 +181,31 @@ class TestEnumerate:
             e = tr.p_end[0] ** 2 / 2 - 0.5 * tr.r_end[0]
             assert e == pytest.approx(0.5, abs=1e-10)
 
+    @pytest.mark.parametrize("F", [1e-12, -1e-12, 1e-10, 1e-8, -1e-9])
+    def test_weak_field(self, F):
+        # the short path is the free one to within F; the long one turns
+        # around and returns after T ~ 2 m |p'| / |F|
+        trs = enumerate_trajectories_uniform_1d(0.0, 1.0, 0.5, 1.0, F)
+        assert len(trs) == 2
+        short, long_ = trs
+        exact = 2.0 / (1.0 + math.sqrt(1.0 + 2.0 * F))
+        assert short.duration == pytest.approx(exact, rel=1e-14)
+        assert short.p_start[0] == 1.0
+        assert long_.duration == pytest.approx(2.0 / abs(F), rel=1e-6)
+        assert long_.p_start[0] == -math.copysign(1.0, F)
+        for tr in trs:
+            e = tr.p_end[0] ** 2 / 2 - F * tr.r_end[0]
+            assert e == pytest.approx(0.5, abs=1e-10)
+
+    @pytest.mark.parametrize("F, durations", [
+        (0.0, [1.0]),
+        (1e-3, [0.99950049937587369, 2000.9995004993759]),
+        (0.5, [0.82842712474619010, 4.8284271247461902]),
+    ])
+    def test_durations_pinned(self, F, durations):
+        trs = enumerate_trajectories_uniform_1d(0.0, 1.0, 0.5, 1.0, F)
+        assert [t.duration for t in trs] == pytest.approx(durations, rel=1e-13)
+
     def test_forbidden_geometry_empty(self):
         # detector against the force beyond the turning point
         trs = enumerate_trajectories_uniform_1d(0.0, -10.0, 0.5, 1.0, 0.5)
@@ -200,6 +225,12 @@ class TestTrajectoryInvariant:
         with pytest.raises(DomainError):
             Trajectory(r_start=[0.0], p_start=[1.0], t_start=0.0,
                        r_end=[5.0], p_end=[1.0], t_end=1.0)
+
+    def test_mismatched_lengths_rejected(self):
+        # not broadcast into a 2-D path from a 1-D start
+        with pytest.raises(ShapeError):
+            Trajectory(r_start=[0.0], p_start=[1.0, 1.0], t_start=0.0,
+                       r_end=[1.0], p_end=[1.0, 1.0], t_end=1.0)
 
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(DomainError):

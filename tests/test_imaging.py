@@ -154,6 +154,14 @@ class TestDetectionProbability:
         with pytest.raises(CoverageError):
             detection_probability(field, patch)
 
+    @pytest.mark.parametrize("position", [[2000.0, 9000.0], [-9000.0, 2000.0]])
+    def test_2d_patch_outside_grid(self, position):
+        # off the grid along either axis; the field's only support rule decides
+        grid = Grid((16, 16), (500.0, 500.0), (-4000.0, -4000.0))
+        field = ComplexField(grid, POSITION, np.ones((16, 16), dtype=complex), 100.0)
+        with pytest.raises(CoverageError):
+            detection_probability(field, DetectorPatch(position, 1e-4, 0.5, 100.0))
+
     def test_patch_with_more_coordinates_than_field_refused(self):
         # not answered from x = 2000 alone with the 3-D patch volume
         field = self.make_field()
@@ -328,9 +336,9 @@ class TestIncidentChannel:
 
     def test_separable_amplitude_is_product_of_1d(self):
         # Phi = Phi_x Phi_y Phi_z gives A_3 = A_x A_y A_z, each A in its own
-        # dimension; p_i sits on a grid node, where the 3-D cubic interpolant
-        # is a few parts in 1e6 off the node value (a d = 3 prefactor on each
-        # 1-D amplitude would be off by orders of magnitude)
+        # dimension; p_i sits on a grid node, where the 3-D spline and the
+        # 1-D splines all return the node value to rounding (a d = 3
+        # prefactor on each 1-D amplitude would be off by orders of magnitude)
         from itkit.core import Grid
         n, dp, m, t_i = 16, 0.1, 1.0, 100.0
         origin = (-0.8, -0.7, -0.9)
@@ -345,7 +353,7 @@ class TestIncidentChannel:
         a1 = [incident_amplitude(ComplexField(Grid((n,), (dp,), (o,)), MOMENTUM, f),
                                  m, t_i, [r]) for o, f, r in zip(origin, factors, r_i)]
         assert abs(a3) > 0
-        assert a3 == pytest.approx(a1[0] * a1[1] * a1[2], rel=1e-5)
+        assert a3 == pytest.approx(a1[0] * a1[1] * a1[2], rel=1e-12)
 
 
 class TestChained:

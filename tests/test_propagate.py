@@ -373,6 +373,57 @@ class TestInterpolateField:
         with pytest.raises(ShapeError):
             interpolate_field(field, np.zeros((1, point_dim)))
 
+    @staticmethod
+    def correlated_field(n, spacing, origin):
+        # a non-separable packet with a position-dependent phase, so the tensor
+        # spline cannot be exact by factorizing
+        grid = Grid(n, spacing, origin)
+        mesh = grid.meshgrid()
+        centre = [o + 0.45 * h * (k - 1) for o, h, k in zip(origin, spacing, n)]
+        u = [(a - c) / (0.3 * h * k) for a, c, h, k in zip(mesh, centre, spacing, n)]
+        quad = sum(a * a for a in u) + sum(0.4 * a * b for a, b in zip(u, u[1:]))
+        phase = sum((1.5 + j) * a for j, a in enumerate(u))
+        return ComplexField(grid, MOMENTUM, np.exp(-quad + 1j * phase))
+
+    @pytest.mark.parametrize("n, spacing, origin", [
+        ((24, 31), (0.1, 0.07), (-1.2, -0.9)),
+        # anisotropic: a different size and spacing on every axis
+        ((20, 28, 36), (0.13, 0.05, 0.021), (-1.1, 0.3, -0.4)),
+        # the joint momentum grid of two particles in 2-D
+        ((12, 12, 12, 12), (0.2, 0.2, 0.25, 0.25), (-1.1, -1.2, -1.3, -1.4)),
+    ])
+    def test_exact_at_the_nodes(self, n, spacing, origin):
+        field = self.correlated_field(n, spacing, origin)
+        nodes = np.stack([a.ravel() for a in np.meshgrid(*field.grid.axes(), indexing="ij")],
+                         axis=-1)
+        out = interpolate_field(field, nodes)
+        err = np.max(np.abs(out - field.values.ravel())) / np.max(np.abs(field.values))
+        assert err < 1e-13
+
+    def test_1d_is_the_bspline(self):
+        from scipy.interpolate import make_interp_spline
+
+        phi = sample_gaussian(GaussianPacketSpec([1.0], [0.25]), centered_grid_1d(4.0, 256, 1.0),
+                              MOMENTUM)
+        pts = np.linspace(-0.9, 2.9, 301)
+        spline = make_interp_spline(phi.grid.axis(0), phi.values, k=3)
+        assert np.array_equal(interpolate_field(phi, pts[:, None]), spline(pts))
+
+    @pytest.mark.parametrize("ax", [0, 1, 2])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_one_support_rule_on_every_face(self, ax, side):
+        field = self.correlated_field((8, 9, 10), (0.1, 0.2, 0.3), (0.0, -1.0, 2.0))
+        lo, hi = field.grid.bounds(ax)
+        point = np.array([0.3, -0.2, 3.1])
+        point[ax] = hi + 1e-9 if side > 0 else lo - 1e-9
+        with pytest.raises(SupportError):
+            interpolate_field(field, point[None, :])
+        inside = point.copy()
+        inside[ax] = hi if side > 0 else lo
+        out = interpolate_field(field, np.stack([point, inside]), fill=0.5)
+        assert out[0] == 0.5
+        assert out[1] == interpolate_field(field, inside[None, :])[0]
+
 
 def it_field_uniform_loop(momentum_field, r_grid, t, tau, m, F=None):
     """Per-point reference for it_field_uniform: one classical call per point."""
