@@ -1,158 +1,99 @@
-"""Bessel functions J, Y and the outgoing Hankel combination H1.
+"""The outgoing Hankel function H1 = J + iY at integer and half-integer order.
 
-Only nonnegative integer and half-integer orders are needed here, at real
-positive argument.  Integer orders use the ascending power series for
-moderate z and the large-argument asymptotic expansion beyond; half-integer
-orders are exact trigonometric closed forms built by upward recurrence.
-A Wronskian identity is evaluated at runtime as a self-check.
+Every order is reached by the upward recurrence H_{v+1} = (2v/z) H_v - H_{v-1}
+(DLMF 10.6.1) from a seed pair (H_{v0-1}, H_{v0}): closed forms at v0 = 1/2;
+at v0 = 0 the large-argument expansion for z >= ASYMPTOTIC_FROM, else Miller's
+backward recurrence for J with Neumann series for Y (Gautschi, SIAM Rev. 9, 24
+(1967)).  Upward recurrence loses the relative accuracy of J once the order
+passes z, so below ASYMPTOTIC_FROM J is read from the Miller table; above it, J
+at orders beyond z is accurate relative to |H| only.  The Wronskian
+J_{v0} Y_{v0-1} - J_{v0-1} Y_{v0} = 2/(pi z) is checked on the seeds.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError, StabilityError
 
-SERIES_CUTOFF = 15.0
+ASYMPTOTIC_FROM = 25.0
 WRONSKIAN_TOL = 1e-9
 _EULER_GAMMA = 0.5772156649015328606
 
 
-def _is_half_integer(order: float) -> bool:
-    return abs(order * 2.0 - round(order * 2.0)) < 1e-12 and abs(order - round(order)) > 0.25
-
-
-def _bessel_j_series(n: int, z: float) -> float:
-    """Ascending series for integer order; accurate for z below ~20."""
-    half = z / 2.0
-    term = half ** n / math.factorial(n)
-    total = term
-    for k in range(1, 400):
-        term *= -(half * half) / (k * (k + n))
-        total += term
-        if abs(term) < 1e-18 * max(abs(total), 1e-30):
-            break
-    return total
-
-
-def _bessel_y_series(n: int, z: float) -> float:
-    """Ascending series for Y_n, integer n >= 0, z below ~20."""
-    half = z / 2.0
-    # finite sum of negative powers
-    neg = 0.0
-    for k in range(n):
-        neg += math.factorial(n - k - 1) / math.factorial(k) * half ** (2 * k - n)
-    # harmonic numbers
-    def h(j: int) -> float:
-        return sum(1.0 / i for i in range(1, j + 1))
-    pos = 0.0
-    term = half ** n / math.factorial(n)
-    for k in range(0, 400):
-        if k > 0:
-            term *= -(half * half) / (k * (k + n))
-        contrib = term * (h(k) + h(k + n))
-        pos += contrib
-        if k > 2 and abs(term) < 1e-18 * max(abs(pos), 1e-30):
-            break
-    jn = _bessel_j_series(n, z)
-    return (2.0 / math.pi) * (math.log(half) + _EULER_GAMMA) * jn \
-        - (1.0 / math.pi) * neg - (1.0 / math.pi) * pos
-
-
 def _hankel_asymptotic(order: float, z: float) -> complex:
-    """Large-argument expansion of H1: sqrt(2/(pi z)) e^{i chi} sum_k i^k A_k / z^k."""
-    chi = z - order * math.pi / 2.0 - math.pi / 4.0
-    total = complex(0.0)
-    a = 1.0
-    best = math.inf
-    for k in range(0, 40):
-        if k > 0:
-            a *= (4.0 * order * order - (2 * k - 1) ** 2) / (8.0 * k)
-        term = (1j ** k) * a / z ** k
-        if abs(term) > best:
-            break
-        best = abs(term)
+    """Large-argument expansion of H1 (DLMF 10.17.5), called at orders 0 and 1 only."""
+    total = term = complex(1.0)
+    k = 0
+    # for z >= 25 the terms fall below rounding (k <= 20) well before they grow (k ~ 2z)
+    while abs(term) > 1e-17:
+        k += 1
+        term *= 1j * (4.0 * order * order - (2 * k - 1) ** 2) / (8.0 * k * z)
         total += term
-        if abs(term) < 1e-17:
-            break
-    return math.sqrt(2.0 / (math.pi * z)) * np.exp(1j * chi) * total
+    chi = z - order * math.pi / 2.0 - math.pi / 4.0
+    return math.sqrt(2.0 / (math.pi * z)) * complex(math.cos(chi), math.sin(chi)) * total
 
 
-def _hankel_half_integer(order: float, z: float) -> complex:
-    """Exact H1 at half-integer order by upward recurrence.
+def _miller_table(v0: float, top: int, z: float) -> list[float]:
+    """J_{v0-1+k}, k = 0..top, up to one common factor, by backward recurrence."""
+    j = [0.0] * (top + 2)
+    j[top] = 1.0
+    for k in range(top, 0, -1):
+        j[k - 1] = 2.0 * (v0 - 1 + k) / z * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e150:  # the growth towards low orders is steep at small z
+            j = [v * 1e-150 for v in j]
+    return j[:-1]
 
-    H_{-1/2} = sqrt(2/(pi z)) e^{iz}, H_{1/2} = -i sqrt(2/(pi z)) e^{iz};
-    H_{nu+1} = (2 nu / z) H_nu - H_{nu-1}.
+
+def _integer_seeds(j: list[float], z: float) -> tuple[complex, complex]:
+    """(H_{-1}, H_0) from a Miller table j[k] = c J_{k-1} at integer order.
+
+    J_0 + 2 sum J_{2k} = 1 fixes c; Y_0 and Y_1 are Neumann series in J.
     """
-    pref = math.sqrt(2.0 / (math.pi * z)) * np.exp(1j * z)
-    h_prev = pref            # order -1/2
-    h_cur = -1j * pref       # order +1/2
-    nu = 0.5
-    while nu < order - 1e-12:
-        h_prev, h_cur = h_cur, (2.0 * nu / z) * h_cur - h_prev
-        nu += 1.0
-    return h_cur
+    c = j[1] + 2.0 * sum(j[3::2])
+    log = math.log(z / 2.0) + _EULER_GAMMA
+    y0 = log * j[1] - 2.0 * sum((-1) ** k * v / k for k, v in enumerate(j[3::2], 1))
+    y1 = (log - 1.0) * j[2] - j[1] / z - sum(
+        (-1) ** k * (2 * k + 1) / (k * (k + 1)) * v for k, v in enumerate(j[4::2], 1))
+    return complex(j[0], -2.0 / math.pi * y1) / c, complex(j[1], 2.0 / math.pi * y0) / c
 
 
-def bessel_j(order: float, z: float) -> float:
-    if z <= 0:
-        raise DomainError("argument must be positive")
-    if _is_half_integer(order):
-        return float(_hankel_half_integer(order, z).real)
-    n = int(round(order))
-    if n < 0:
-        raise DomainError("order must be nonnegative")
-    if z < SERIES_CUTOFF:
-        return _bessel_j_series(n, z)
-    return float(_hankel_asymptotic(order, z).real)
-
-
-def bessel_y(order: float, z: float) -> float:
-    if z <= 0:
-        raise DomainError("argument must be positive")
-    if _is_half_integer(order):
-        return float(_hankel_half_integer(order, z).imag)
-    n = int(round(order))
-    if n < 0:
-        raise DomainError("order must be nonnegative")
-    if z < SERIES_CUTOFF:
-        return _bessel_y_series(n, z)
-    return float(_hankel_asymptotic(order, z).imag)
-
-
-def wronskian_residual(order: float, z: float) -> float:
-    """|J_{a+1} Y_a - J_a Y_{a+1} - 2/(pi z)| at order a."""
-    w = bessel_j(order + 1.0, z) * bessel_y(order, z) \
-        - bessel_j(order, z) * bessel_y(order + 1.0, z)
-    return abs(w - 2.0 / (math.pi * z))
-
-
-def hankel_h1(order: float, z: float, self_check: bool = True) -> complex:
+def hankel_h1(order: float, z: float) -> complex:
     """Outgoing Hankel function H^(1)_order(z) = J + iY, z > 0.
 
-    Orders are restricted to nonnegative integers and half-integers.  With
-    ``self_check`` the Wronskian identity is verified and a stability error
-    raised if it drifts.
+    Orders are restricted to nonnegative integers and half-integers.  A
+    StabilityError is raised if the Wronskian of the seed pair drifts, and a
+    DomainError if H1 is beyond floating-point range.
     """
-    if z <= 0:
-        raise DomainError("argument must be positive")
-    if not (_is_half_integer(order) or abs(order - round(order)) < 1e-12):
-        raise DomainError("order must be integer or half-integer")
-    if order < 0:
-        raise DomainError("order must be nonnegative")
-    if _is_half_integer(order):
-        val = _hankel_half_integer(order, z)
-    elif z < SERIES_CUTOFF:
-        n = int(round(order))
-        val = complex(_bessel_j_series(n, z), _bessel_y_series(n, z))
+    order, z = float(order), float(z)  # numpy scalars would slow every recurrence step
+    if not (math.isfinite(z) and z > 0):
+        raise DomainError(f"argument must be finite and positive, got {z}")
+    if not (math.isfinite(order) and order >= 0 and abs(2.0 * order - round(2.0 * order)) <= 2e-12):
+        raise DomainError(f"order must be a nonnegative integer or half-integer, got {order}")
+    v0 = 0.5 if round(2.0 * order) % 2 else 0.0
+    steps = round(order - v0)
+    miller = z < ASYMPTOTIC_FROM
+    if miller:
+        # 30 orders above max(z, order) take the table to rounding for z < 25
+        j = _miller_table(v0, max(steps, int(z)) + 30, z)
+    if v0:
+        h_prev = math.sqrt(2.0 / (math.pi * z)) * complex(math.cos(z), math.sin(z))
+        h = -1j * h_prev
+    elif miller:
+        h_prev, h = _integer_seeds(j, z)
     else:
-        val = _hankel_asymptotic(order, z)
-    if self_check:
-        res = wronskian_residual(order, z) * (math.pi * z / 2.0)
-        if res > WRONSKIAN_TOL:
-            raise StabilityError(
-                f"Wronskian self-check failed at order {order}, z={z}: residual {res:.2e}"
-            )
-    return val
+        h_prev, h = -_hankel_asymptotic(1.0, z), _hankel_asymptotic(0.0, z)
+    residual = abs((h_prev * h.conjugate()).imag * (math.pi * z / 2.0) - 1.0)
+    if not residual <= WRONSKIAN_TOL:  # a NaN seed fails too
+        raise StabilityError(
+            f"Wronskian self-check failed at order {v0}, z={z}: residual {residual:.2e}")
+    if miller:
+        # J at the requested order, normalised on the larger of the two seed J
+        seed, k = (h_prev.real, 0) if abs(h_prev.real) > abs(h.real) else (h.real, 1)
+        re = j[steps + 1] * (seed / j[k])
+    for k in range(steps):
+        h_prev, h = h, (2.0 * (v0 + k) / z) * h - h_prev
+    h = complex(re, h.imag) if miller else h
+    if not abs(h) < math.inf:
+        raise DomainError(f"H1 overflows at order {order}, z={z}")
+    return h

@@ -222,6 +222,8 @@ def green_hyper_asymptotic(config: HyperConfig, separation: float) -> complex:
     valid for separations large on the de Broglie scale.  At N = 1, mu = m
     this is the exact free Green function.
     """
+    if not math.isfinite(separation):
+        raise DomainError(f"separation must be finite, got {separation}")
     if separation <= 0:
         raise SingularityError("coincident hyper-positions")
     n = config.n_particles
@@ -240,6 +242,8 @@ def green_hyper_hankel(config: HyperConfig, separation: float) -> complex:
     equal to the stationary-phase form in the large-argument limit; at
     N = 1, mu = m it reproduces green_free.
     """
+    if not math.isfinite(separation):
+        raise DomainError(f"separation must be finite, got {separation}")
     if separation <= 0:
         raise SingularityError("coincident hyper-positions")
     P = config.hyper_momentum

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import hankel1
 
 from itkit.cli import MAX_ANGLES, MAX_BINS, MAX_RADII, main
 
@@ -247,6 +248,22 @@ class TestGreensCommand:
         hank = [complex(float(r[2]), float(r[3])) for r in rows if r[4] == "hyper-hankel"]
         errs = [abs(a - h) / abs(h) for a, h in zip(asym, hank)]
         assert errs[-1] < errs[0]
+
+    @pytest.mark.parametrize("n_particles", [4, 6, 7])
+    def test_many_particle_scan_matches_amos(self, tmp_path, n_particles):
+        # integer (N = 4, 6) and half-integer (N = 7) Hankel orders at z = 0.2 to 100
+        code, out = run(tmp_path, "greens",
+                        f"n_particles = {n_particles}\nenergy = 0.5\n"
+                        "r_min = 0.2\nr_max = 100\nn_r = 50\n")
+        assert code == 0
+        rows = [l.split(",") for l in (out / "greens.csv").read_text().splitlines()[2:]]
+        hank = [(float(r[0]), complex(float(r[2]), float(r[3]))) for r in rows if r[4] == "hyper-hankel"]
+        assert len(hank) == 50
+        # unit masses, mu = 1 and E = 1/2 give P = 1 and eta = 1
+        a = (3 * n_particles - 2) / 2
+        for R, g in hank:
+            ref = -0.5j / (2 * math.pi) ** a * hankel1(a, R) / R ** a
+            assert abs(g - ref) <= 1e-10 * abs(ref)
 
 
 class TestInvalidInputExitCodes:

@@ -345,6 +345,12 @@ class TestHyperGreens:
         with pytest.raises(SingularityError):
             green_hyper_asymptotic(cfg, 0.0)
 
+    @pytest.mark.parametrize("separation", [math.nan, math.inf])
+    @pytest.mark.parametrize("green", [green_hyper_hankel, green_hyper_asymptotic])
+    def test_non_finite_separation_rejected(self, green, separation):
+        with pytest.raises(DomainError):
+            green(hyper_config([1.0, 1.0], 1.0, 0.5), separation)
+
 
 class TestMuIndependence:
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])

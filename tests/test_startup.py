@@ -8,10 +8,11 @@ process has imported scipy through other test modules.  The same fresh
 interpreters make a first call through each function-local scipy import,
 which no other test can reach before scipy is already loaded.
 
-When ``itkit.bessel`` is replaced by ``scipy.special.hankel1`` (the ROADMAP
-item that deletes it), import ``hankel1`` inside
-``scatter.green_hyper_hankel``: a module-level import in ``itkit.scatter``
-loads scipy for ``xsec`` and ``greens`` and fails these guards.
+``itkit.bessel`` computes the Hankel function in pure Python, not with
+``scipy.special.hankel1``: importing ``scipy.special`` raises the resident
+memory of ``xsec`` and ``greens`` from about 29 to 53 MB.  The ``greens``
+guard runs one half-integer-order (N = 1) and one integer-order (N = 4)
+scan, so both paths of ``hankel_h1`` are covered.
 """
 
 import json
@@ -26,12 +27,13 @@ import itkit
 
 SRC = str(Path(itkit.__file__).resolve().parents[1])
 
-# the README configs of the commands guarded here
-README_CONFIGS = {
+# the README configs of the commands guarded here, and an integer-order greens scan
+CONFIGS = {
     "coincidence": "mode = simulate\nmass = 1.0\ndistance = 1.0\nenergy = 8.0\nsigma = 1.0\n"
                    "Sigma = 10.0\nn_events = 30000\n",
     "xsec": "v0 = 0.01\na = 1.0\nenergy = 0.5\nn_angles = 19\n",
     "greens": "n_particles = 1\nenergy = 0.5\nr_min = 1.0\nr_max = 100.0\nn_r = 50\n",
+    "greens_n4": "n_particles = 4\nenergy = 0.5\nr_min = 0.2\nr_max = 100.0\nn_r = 50\n",
     "delays": "masses = 1.0, 1.0\ndistances = 1.0, 1.0\nenergy = 1.0\ndelays = 1.0\n",
 }
 
@@ -58,17 +60,17 @@ def test_import_cli_loads_no_scipy():
     assert loaded == []
 
 
-def run_command(tmp_path, command: str) -> tuple[int, list[str]]:
-    config = tmp_path / f"{command}.txt"
-    config.write_text(README_CONFIGS[command])
+def run_command(tmp_path, name: str) -> tuple[int, list[str]]:
+    config = tmp_path / f"{name}.txt"
+    config.write_text(CONFIGS[name])
     out, loaded = fresh("import sys\nfrom itkit import cli\nprint(cli.main(sys.argv[1:]))",
-                        command, "--config", str(config), "--out", str(tmp_path / "out"))
+                        name.split("_")[0], "--config", str(config), "--out", str(tmp_path / "out"))
     return int(out.splitlines()[-1]), loaded
 
 
-@pytest.mark.parametrize("command", ["xsec", "greens", "coincidence"])
-def test_command_loads_no_scipy(tmp_path, command):
-    code, loaded = run_command(tmp_path, command)
+@pytest.mark.parametrize("name", ["xsec", "greens", "greens_n4", "coincidence"])
+def test_command_loads_no_scipy(tmp_path, name):
+    code, loaded = run_command(tmp_path, name)
     assert code == 0
     assert loaded == []
 
