@@ -54,6 +54,9 @@ MAX_BINS = 1 << 22
 # greens: ~1.2 kB per radius (three Python result rows), so 2^19 radii peak
 # near 0.6 GB
 MAX_RADII = 1 << 19
+# greens: every radius builds an n_particles-long mass array; 2^16 particles
+# keep it under 1 MB
+MAX_PARTICLES = 1 << 16
 
 
 class ConfigError(Exception):
@@ -324,8 +327,8 @@ def cmd_greens(cfg: Config, out_dir: Path, seed: int | None) -> int:
     cfg.reject_unknown()
     if not 1 <= n_r <= MAX_RADII:
         raise ConfigError(f"n_r must lie in [1, {MAX_RADII}], got {n_r}")
-    if n_particles < 1:
-        raise ConfigError(f"n_particles must be at least 1, got {n_particles}")
+    if not 1 <= n_particles <= MAX_PARTICLES:
+        raise ConfigError(f"n_particles must lie in [1, {MAX_PARTICLES}], got {n_particles}")
     if mass <= 0 or mu <= 0:
         raise ConfigError(f"mass and mu must be positive, got mass={mass:g}, mu={mu:g}")
     if energy <= 0:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -99,6 +100,36 @@ class TestHankel:
         # |H| is beyond floating-point range at each of these
         with pytest.raises(DomainError, match="overflows"):
             hankel_h1(order, z)
+
+    @pytest.mark.parametrize("order, z", [
+        (0, 1e-300), (0.5, 1e-300), (1, 1e-300), (1.5, 1e-200), (2, 1e-150), (3, 1e-100)])
+    def test_tiny_argument(self, order, z):
+        # H is finite here although J_0 / J_30 far exceeds 1e308
+        h = hankel_h1(order, z)
+        assert h.real == pytest.approx(sp.jv(order, z), rel=1e-12)
+        assert h.imag == pytest.approx(sp.yv(order, z), rel=1e-12)
+
+    def test_tiny_argument_half_order_closed_form(self):
+        z = 1e-300
+        closed = -1j * math.sqrt(2.0 / (math.pi * z)) * complex(math.cos(z), math.sin(z))
+        assert hankel_h1(0.5, z) == pytest.approx(closed, rel=1e-14)
+        assert hankel_h1(0, z) == pytest.approx(
+            1.0 + 2j / math.pi * (math.log(z / 2.0) + 0.5772156649015329), rel=1e-14)
+
+    def test_subnormal_argument_rejected(self):
+        with pytest.raises(DomainError, match="normal"):
+            hankel_h1(0, 1e-310)
+
+    @pytest.mark.parametrize("order", [1e6 + 0.5, 1e6])
+    def test_far_order_rejected_before_any_table(self, order):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="overflows"):
+                hankel_h1(order, 20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
 
 
 class TestWronskian:

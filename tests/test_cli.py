@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import hankel1
 
-from itkit.cli import MAX_ANGLES, MAX_BINS, MAX_RADII, main
+from itkit.cli import MAX_ANGLES, MAX_BINS, MAX_PARTICLES, MAX_RADII, main
 
 
 def write_config(tmp_path, text, name="config.txt"):
@@ -297,6 +297,7 @@ class TestInvalidInputExitCodes:
         ("coincidence", "distance = 1\nenergy = 8\nsigma = 1\nSigma = 10\n"
                         f"n_bins = {MAX_BINS + 1}\n"),
         ("greens", f"energy = 0.5\nr_min = 1\nr_max = 10\nn_r = {MAX_RADII + 1}\n"),
+        ("greens", f"n_particles = {MAX_PARTICLES + 1}\nenergy = 0.5\nr_min = 1\nr_max = 10\n"),
         # found by the fuzz: config mistakes, not tracebacks (exit 1) or
         # numerical failures (exit 4)
         ("it-check", "n_points = 0\n"),

@@ -27,15 +27,16 @@ import itkit
 
 SRC = str(Path(itkit.__file__).resolve().parents[1])
 
-# the README configs of the commands guarded here, and an integer-order greens scan
-CONFIGS = {
+# the README configs of the commands guarded here
+README_CONFIGS = {
     "coincidence": "mode = simulate\nmass = 1.0\ndistance = 1.0\nenergy = 8.0\nsigma = 1.0\n"
                    "Sigma = 10.0\nn_events = 30000\n",
     "xsec": "v0 = 0.01\na = 1.0\nenergy = 0.5\nn_angles = 19\n",
     "greens": "n_particles = 1\nenergy = 0.5\nr_min = 1.0\nr_max = 100.0\nn_r = 50\n",
-    "greens_n4": "n_particles = 4\nenergy = 0.5\nr_min = 0.2\nr_max = 100.0\nn_r = 50\n",
     "delays": "masses = 1.0, 1.0\ndistances = 1.0, 1.0\nenergy = 1.0\ndelays = 1.0\n",
 }
+# an integer-order greens scan, beside the README's half-integer one (N = 1)
+GREENS_N4 = "n_particles = 4\nenergy = 0.5\nr_min = 0.2\nr_max = 100.0\nn_r = 50\n"
 
 # appended to every script: the scipy modules loaded, as the last stdout line
 REPORT_SCIPY = (
@@ -60,23 +61,28 @@ def test_import_cli_loads_no_scipy():
     assert loaded == []
 
 
-def run_command(tmp_path, name: str) -> tuple[int, list[str]]:
-    config = tmp_path / f"{name}.txt"
-    config.write_text(CONFIGS[name])
+def run_command(tmp_path, command: str, config_text: str) -> tuple[int, list[str]]:
+    config = tmp_path / f"{command}.txt"
+    config.write_text(config_text)
     out, loaded = fresh("import sys\nfrom itkit import cli\nprint(cli.main(sys.argv[1:]))",
-                        name.split("_")[0], "--config", str(config), "--out", str(tmp_path / "out"))
+                        command, "--config", str(config), "--out", str(tmp_path / "out"))
     return int(out.splitlines()[-1]), loaded
 
 
-@pytest.mark.parametrize("name", ["xsec", "greens", "greens_n4", "coincidence"])
-def test_command_loads_no_scipy(tmp_path, name):
-    code, loaded = run_command(tmp_path, name)
+@pytest.mark.parametrize("command, config_text", [
+    pytest.param("xsec", README_CONFIGS["xsec"], id="xsec"),
+    pytest.param("greens", README_CONFIGS["greens"], id="greens"),
+    pytest.param("greens", GREENS_N4, id="greens_n4"),
+    pytest.param("coincidence", README_CONFIGS["coincidence"], id="coincidence"),
+])
+def test_command_loads_no_scipy(tmp_path, command, config_text):
+    code, loaded = run_command(tmp_path, command, config_text)
     assert code == 0
     assert loaded == []
 
 
 def test_delays_loads_optimize_only(tmp_path):
-    code, loaded = run_command(tmp_path, "delays")
+    code, loaded = run_command(tmp_path, "delays", README_CONFIGS["delays"])
     assert code == 0
     assert "scipy.optimize" in loaded
     assert not any(m.startswith("scipy.interpolate") for m in loaded)
