@@ -9,9 +9,6 @@ multiplication in the momentum representation.
 
 from __future__ import annotations
 
-import math
-import os
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,7 +18,6 @@ from .errors import (
     CoverageError,
     DegenerateInputError,
     DomainError,
-    FormatError,
     RepresentationError,
     ShapeError,
 )
@@ -51,10 +47,6 @@ class UniformField:
         f.setflags(write=False)
         object.__setattr__(self, "force", f)
 
-    def potential(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return -np.tensordot(r, self.force, axes=([-1], [0])) if r.ndim > 1 else -float(np.dot(np.atleast_1d(r), self.force))
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -78,6 +70,10 @@ class Grid:
             raise DomainError("need at least 8 points per axis")
         if not all(v > 0 for v in spacing):
             raise DomainError("spacing must be positive")
+        # Python floats: an overflowing last coordinate becomes inf without a warning
+        far = [o + s * (k - 1) for o, s, k in zip(origin, spacing, n)]
+        if not np.all(np.isfinite([*spacing, *origin, *far])):
+            raise DomainError("spacing, origin and the last coordinate must be finite")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
@@ -209,10 +205,10 @@ def to_momentum(field: ComplexField) -> ComplexField:
 def to_position(field: ComplexField, position_grid: Grid | None = None) -> ComplexField:
     """Inverse of :func:`to_momentum`.
 
-    If ``position_grid`` is omitted, a grid centred like the conjugate
-    relation demands (origin at -dx*(n//2) scaled) cannot be recovered
-    uniquely, so the caller usually passes the original grid; without it the
-    transform assumes an origin of -L/2 per axis.
+    The position grid cannot be recovered from the momentum grid alone, so
+    the caller usually passes the original one.  Without ``position_grid``
+    the transform uses ``field.grid.conjugate()``, whose origin on each axis
+    is -dx*(n//2): that is -L/2 only for even n.
     """
     if field.representation != MOMENTUM:
         raise RepresentationError("to_position expects a momentum-representation field")
@@ -329,61 +325,3 @@ def field_to_csv(field: ComplexField, path, comment: str | None = None) -> None:
     header = ",".join(f"x{i}" for i in range(field.grid.dimension)) + ",re,im"
     _write_csv(path, header, cols, comment)
 
-
-_MAGIC = b"ITKF"
-
-
-def field_to_binary(field: ComplexField, path) -> None:
-    """Little-endian dump.
-
-    Header: magic, dimension, per-axis n (int64), per-axis spacing and
-    origin (float64), representation flag (0 position / 1 momentum), time
-    label.  Payload: interleaved re/im float64.
-    """
-    d = field.grid.dimension
-    rep = 0 if field.representation == POSITION else 1
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<i", d))
-        fh.write(struct.pack(f"<{d}q", *field.grid.n))
-        fh.write(struct.pack(f"<{d}d", *field.grid.spacing))
-        fh.write(struct.pack(f"<{d}d", *field.grid.origin))
-        fh.write(struct.pack("<id", rep, field.time_label))
-        inter = np.empty(field.values.size * 2, dtype="<f8")
-        inter[0::2] = field.values.real.ravel()
-        inter[1::2] = field.values.imag.ravel()
-        fh.write(inter.tobytes())
-
-
-def field_from_binary(path) -> ComplexField:
-    """Read a :func:`field_to_binary` dump.
-
-    The magic, the dimension and the header plus payload size are checked
-    against the file size before the rest is read; a malformed or truncated
-    file raises FormatError.
-    """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(8)
-        if len(head) < 8 or head[:4] != _MAGIC:
-            raise FormatError(f"{path}: not an itkit field dump")
-        (d,) = struct.unpack("<i", head[4:])
-        # magic and d, then per-axis n, spacing and origin, then flag and time
-        n_head = 8 + 24 * d + 12
-        if d < 1 or n_head > size:
-            raise FormatError(f"{path}: dimension {d} does not fit in {size} bytes")
-        meta = fh.read(n_head - 8)
-        n = struct.unpack_from(f"<{d}q", meta)
-        spacing = struct.unpack_from(f"<{d}d", meta, 8 * d)
-        origin = struct.unpack_from(f"<{d}d", meta, 16 * d)
-        rep, t = struct.unpack_from("<id", meta, 24 * d)
-        if min(n) < 1 or size != n_head + 16 * math.prod(n):
-            raise FormatError(f"{path}: {size} bytes do not hold a header and {n} points")
-        # Python floats: an overflowing last coordinate becomes inf without a warning
-        far = [o + s * (k - 1) for o, s, k in zip(origin, spacing, n)]
-        if rep not in (0, 1) or not all(map(math.isfinite, (*spacing, *origin, *far, t))):
-            raise FormatError(f"{path}: bad representation flag or non-finite coordinates")
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    vals = (raw[0::2] + 1j * raw[1::2]).reshape(n)
-    grid = Grid(n, spacing, origin)
-    return ComplexField(grid, POSITION if rep == 0 else MOMENTUM, vals, t)

@@ -45,10 +45,6 @@ class ShapeError(ItkitError, ValueError):
     """Inconsistent array dimensions between related inputs."""
 
 
-class FormatError(ItkitError, ValueError):
-    """Serialized data that is malformed or truncated."""
-
-
 class InfeasibleError(ItkitError, ValueError):
     """No physically admissible solution exists for the given data."""
 

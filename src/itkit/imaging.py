@@ -11,6 +11,7 @@ entanglement of Phi intact.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,12 +39,12 @@ class DetectorPatch:
         r = np.atleast_1d(np.asarray(self.position, dtype=float))
         r.setflags(write=False)
         object.__setattr__(self, "position", r)
-        if np.linalg.norm(r) <= MACROSCOPIC_RADIUS:
+        if not MACROSCOPIC_RADIUS < np.linalg.norm(r) < math.inf:
             raise DomainError(
                 f"detector must sit beyond {MACROSCOPIC_RADIUS:g} a.u. from the reaction volume"
             )
-        if self.solid_angle <= 0 or self.radial_extent <= 0:
-            raise DomainError("solid angle and radial extent must be positive")
+        if not (0 < self.solid_angle < math.inf and 0 < self.radial_extent < math.inf):
+            raise DomainError("solid angle and radial extent must be positive and finite")
 
     @property
     def volume(self) -> float:
@@ -127,9 +128,9 @@ def momentum_density_from_hits(position_density, r, t: float, m: float,
     For vector input ``r`` is the radial distance; the factor (r/p')^d is
     just (t/m)^d, so the inversion needs no angular information.
     """
-    if t <= 0 or m <= 0:
-        raise DomainError("t and m must be positive")
-    if np.any(np.asarray(r, dtype=float) <= 0):
+    if not (0 < t < math.inf and 0 < m < math.inf):
+        raise DomainError("t and m must be positive and finite")
+    if not np.all(np.asarray(r, dtype=float) > 0):
         raise DomainError("r must be positive")
     return np.asarray(position_density, dtype=float) * (t / m) ** dimension
 
@@ -148,6 +149,8 @@ def many_particle_it(momentum_field: ComplexField, masses, times, positions) -> 
     n = len(masses)
     if len(times) != n or pos.shape[0] != n:
         raise ShapeError("need one time and one position per particle")
+    if not np.all((0 < masses) & (masses < math.inf) & (0 < times) & (times < math.inf)):
+        raise DomainError("masses and times must be positive and finite")
     d = pos.shape[1]
     if momentum_field.grid.dimension != n * d:
         raise ShapeError(
@@ -166,8 +169,8 @@ def incident_amplitude(collimator_field: ComplexField, m: float, t_i: float, r_i
 
     so that |A_i|^2 is the incident probability density at the reaction volume.
     """
-    if t_i <= 0:
-        raise DomainError("t_i must be positive")
+    if not (0 < m < math.inf and 0 < t_i < math.inf):
+        raise DomainError("m and t_i must be positive and finite")
     r_i = np.atleast_1d(np.asarray(r_i, dtype=float))
     d = collimator_field.grid.dimension
     if len(r_i) != d:
@@ -184,10 +187,10 @@ def incident_density(collimator_field: ComplexField, m: float, t_i: float, r_i) 
 
 def chained_density(final_it_density, incident_density_value: float):
     """Counting-rate density: imaging-map density scaled by the incident flux."""
-    if incident_density_value < 0:
-        raise DomainError("incident density must be nonnegative")
+    if not 0 <= incident_density_value < math.inf:
+        raise DomainError("incident density must be nonnegative and finite")
     dens = np.asarray(final_it_density, dtype=float)
-    if np.any(dens < 0):
+    if not np.all(dens >= 0):
         raise DomainError("densities must be nonnegative")
     return dens * incident_density_value
 

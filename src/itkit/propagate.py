@@ -12,6 +12,7 @@ integral that produces the asymptotic wave function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,8 +292,8 @@ def _it_map(momentum_field: ComplexField, r: np.ndarray, t: float, tau: float,
     if momentum_field.representation != MOMENTUM:
         raise RepresentationError("expected a momentum-representation field")
     T = t - tau
-    if T <= 0:
-        raise DomainError("t must exceed tau")
+    if not (0 < m < math.inf and 0 < T < math.inf):
+        raise DomainError("m and t - tau must be positive and finite")
     d = momentum_field.grid.dimension
     if r.shape[-1] != d:
         raise ShapeError(f"points have {r.shape[-1]} coordinates, the momentum grid {d} axes")

@@ -1,9 +1,5 @@
-import struct
-
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from itkit.core import (
     MOMENTUM,
@@ -13,8 +9,6 @@ from itkit.core import (
     Grid,
     UniformField,
     centered_grid_1d,
-    field_from_binary,
-    field_to_binary,
     field_to_csv,
     normalize,
     sample_gaussian,
@@ -26,8 +20,6 @@ from itkit.errors import (
     CoverageError,
     DegenerateInputError,
     DomainError,
-    FormatError,
-    ItkitError,
     RepresentationError,
     ShapeError,
 )
@@ -62,6 +54,11 @@ class TestGrid:
         lambda: UniformField([float("inf")]),
         # refused before its spacing divides by zero
         lambda: centered_grid_1d(10.0, 0),
+        lambda: Grid((8,), (float("inf"),), (0.0,)),
+        lambda: Grid((8,), (1.0,), (float("nan"),)),
+        # finite spacing and origin, but the last coordinate overflows to inf
+        lambda: Grid((8,), (1e308,), (0.0,)),
+        lambda: centered_grid_1d(float("inf"), 16),
     ])
     def test_validators_raise_domain_error(self, make):
         # a DomainError is an ItkitError, which the CLI maps to an exit code
@@ -191,15 +188,6 @@ class TestComplexField:
 
 
 class TestSerialization:
-    def test_binary_round_trip(self, tmp_path):
-        _, psi = gauss_1d(p0=1.0)
-        path = tmp_path / "field.bin"
-        field_to_binary(psi, path)
-        back = field_from_binary(path)
-        assert back.grid == psi.grid
-        assert back.representation == psi.representation
-        assert np.array_equal(back.values, psi.values)
-
     def test_csv_columns(self, tmp_path):
         _, psi = gauss_1d(n=64)
         path = tmp_path / "field.csv"
@@ -209,66 +197,3 @@ class TestSerialization:
         assert lines[1] == "x0,re,im"
         assert len(lines) == 2 + 64
 
-
-@pytest.fixture(scope="module")
-def dump(tmp_path_factory):
-    grid = Grid((8, 9), (0.5, 0.25), (-2.0, -1.0))
-    values = np.arange(72).reshape(8, 9) * (1.0 - 0.5j)
-    path = tmp_path_factory.mktemp("binary") / "field.bin"
-    field_to_binary(ComplexField(grid, MOMENTUM, values, 3.5), path)
-    return path.read_bytes()
-
-
-@pytest.fixture(scope="module")
-def dump_file(tmp_path_factory):
-    return tmp_path_factory.mktemp("mutated") / "field.bin"
-
-
-# magic, d, 2 x (n, spacing, origin), flag, time
-HEADER_BYTES = 4 + 4 + 2 * 24 + 12
-
-
-class TestBinaryReaderFuzz:
-    def test_dump_reads_back(self, dump, dump_file):
-        dump_file.write_bytes(dump)
-        back = field_from_binary(dump_file)
-        assert back.grid == Grid((8, 9), (0.5, 0.25), (-2.0, -1.0))
-        assert back.representation == MOMENTUM and back.time_label == 3.5
-        assert len(dump) == HEADER_BYTES + 16 * 72
-
-    @given(cut=st.integers(min_value=0, max_value=HEADER_BYTES + 16 * 72 - 1))
-    @settings(max_examples=150, deadline=None)
-    def test_truncation_is_format_error(self, dump, dump_file, cut):
-        dump_file.write_bytes(dump[:cut])
-        with pytest.raises(FormatError):
-            field_from_binary(dump_file)
-
-    @given(extra=st.binary(min_size=1, max_size=40))
-    @settings(max_examples=30, deadline=None)
-    def test_trailing_bytes_are_format_error(self, dump, dump_file, extra):
-        dump_file.write_bytes(dump + extra)
-        with pytest.raises(FormatError):
-            field_from_binary(dump_file)
-
-    @given(d=st.integers(min_value=-2 ** 31, max_value=2 ** 31 - 1).filter(lambda d: d != 2))
-    @settings(max_examples=100, deadline=None)
-    def test_wrong_dimension_is_format_error(self, dump, dump_file, d):
-        dump_file.write_bytes(dump[:4] + struct.pack("<i", d) + dump[8:])
-        with pytest.raises(FormatError):
-            field_from_binary(dump_file)
-
-    @given(pos=st.integers(min_value=0, max_value=HEADER_BYTES - 1),
-           byte=st.integers(min_value=0, max_value=255))
-    @example(pos=31, byte=0x7F)  # spacing 0.5 -> 9e307: the last x0 overflows
-    @example(pos=7, byte=0x7F)  # d = 0x7f000002
-    @settings(max_examples=300, deadline=None)
-    def test_header_mutation_reads_or_raises_typed_error(self, dump, dump_file, pos, byte):
-        # a mutated spacing or origin can still describe a valid field;
-        # anything else must be refused with a package error
-        dump_file.write_bytes(dump[:pos] + bytes([byte]) + dump[pos + 1:])
-        try:
-            back = field_from_binary(dump_file)
-        except ItkitError:
-            return
-        assert back.values.shape == (8, 9)
-        assert np.all(np.isfinite(back.grid.axes()[0])) and np.all(np.isfinite(back.grid.axes()[1]))

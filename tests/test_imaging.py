@@ -97,10 +97,32 @@ class TestApplyItFree:
         np.testing.assert_array_equal(free.values, field.values)
         assert free.time_label == field.time_label == 1000.0
 
-    @pytest.mark.parametrize("t", [0.0, -5.0])
+    @pytest.mark.parametrize("t", [0.0, -5.0, math.nan])
     def test_rejects_nonpositive_time(self, t):
         with pytest.raises(DomainError):
             apply_it_free(momentum_packet(), 1.0, t, centered_grid_1d(100.0, 256, 0.0))
+
+
+# each imaging map at (m, t), on a 1-D packet; one particle for many_particle_it
+IMAGING_MAPS = {
+    "apply_it_free": lambda phi, m, t: apply_it_free(phi, m, t, centered_grid_1d(100.0, 64, 0.0)),
+    "it_field_uniform": lambda phi, m, t: it_field_uniform(
+        phi, centered_grid_1d(100.0, 64, 0.0), t, 0.0, m),
+    "it_point": lambda phi, m, t: it_point(phi, m, t, [1000.0]),
+    "many_particle_it": lambda phi, m, t: many_particle_it(phi, [m], [t], [[1000.0]]),
+    "incident_amplitude": lambda phi, m, t: incident_amplitude(phi, m, t, [-1000.0]),
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("which", ["m", "t"])
+@pytest.mark.parametrize("name", sorted(IMAGING_MAPS))
+def test_maps_reject_mass_or_time_not_positive_and_finite(name, which, bad):
+    # refused up front, not a RuntimeWarning or a NaN result downstream
+    phi = momentum_packet(n=256)
+    IMAGING_MAPS[name](phi, m=1.0, t=1000.0)  # the valid call runs
+    with pytest.raises(DomainError):
+        IMAGING_MAPS[name](phi, **{"m": 1.0, "t": 1000.0, which: bad})
 
 
 class TestItDensity:
@@ -180,6 +202,16 @@ class TestDetectionProbability:
         with pytest.raises(DomainError):
             DetectorPatch([500.0], 1e-4, 0.5, 100.0)
 
+    @pytest.mark.parametrize("args", [
+        ([math.nan, 0.0, 0.0], 1.0, 1.0),
+        ([2000.0], math.nan, 0.5),
+        ([2000.0], 1e-4, math.nan),
+    ])
+    def test_rejects_nan_patch(self, args):
+        # each would build with a NaN volume
+        with pytest.raises(DomainError):
+            DetectorPatch(*args, 5.0)
+
     def test_patch_volume(self):
         patch = DetectorPatch([2000.0], 1e-4, 0.5, 100.0)
         assert patch.volume == pytest.approx(2000.0 ** 2 * 1e-4 * 0.5)
@@ -220,6 +252,10 @@ class TestInversion:
             momentum_density_from_hits(1e-9, -1.0, 1000.0, 1.0)
         with pytest.raises(DomainError):
             momentum_density_from_hits(1e-9, 2000.0, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            momentum_density_from_hits([1.0], [1.0], math.nan, 1.0)
+        with pytest.raises(DomainError):
+            momentum_density_from_hits([1.0], [math.nan], 1.0, 1.0)
 
 
 class TestManyParticle:
@@ -369,6 +405,10 @@ class TestChained:
             chained_density(0.1, -1.0)
         with pytest.raises(DomainError):
             chained_density([-0.1], 1.0)
+        with pytest.raises(DomainError):
+            chained_density([1.0], math.nan)
+        with pytest.raises(DomainError):
+            chained_density([math.nan], 1.0)
 
 
 class TestCsv:
