@@ -84,8 +84,8 @@ def action_S_uniform(r, r_prime, T: float, m: float = 1.0, F=None) -> float:
 
     S = m (r - r')^2 / (2T) [+ F.(r + r') T/2 - F^2 T^3 / (24 m)].
     """
-    if T <= 0:
-        raise DomainError("T must be positive")
+    if not 0 < T < math.inf:
+        raise DomainError("T must be positive and finite")
     r, rp = _vec(r), _vec(r_prime)
     dr = r - rp
     s = m * np.dot(dr, dr) / (2.0 * T)
@@ -105,8 +105,8 @@ def action_S_tilde_uniform(r, p, T: float, m: float = 1.0, F=None) -> float | np
     axes (shape (..., d)); the result is then an array of shape (...), else
     a float.
     """
-    if T < 0:
-        raise DomainError("T must be nonnegative")
+    if not 0 <= T < math.inf:
+        raise DomainError("T must be nonnegative and finite")
     r, p = _vec(r), _vec(p)
     # vecdot dots over the last axis exactly as np.dot does per point
     s = np.vecdot(p, r) - np.vecdot(p, p) * T / (2.0 * m)
@@ -124,8 +124,8 @@ def stationary_momentum(r, r_prime, T: float, m: float = 1.0, F=None) -> np.ndar
     stack end points on leading axes (shape (..., d)); p' then has the
     same shape.
     """
-    if T <= 0:
-        raise DomainError("T must be positive")
+    if not 0 < T < math.inf:
+        raise DomainError("T must be positive and finite")
     p = m * (_vec(r) - _vec(r_prime)) / T
     if F is not None:
         p = p - _vec(F) * T / 2.0
@@ -139,8 +139,8 @@ def van_vleck_time(m, T, dimension: int = 3) -> float:
     """
     m = _vec(m)
     T = np.broadcast_to(_vec(T), m.shape)
-    if np.any(T <= 0):
-        raise DomainError("T must be positive")
+    if not np.all((m > 0) & (m < np.inf) & (T > 0) & (T < np.inf)):
+        raise DomainError("masses and T must be positive and finite")
     return float(np.prod((m / T) ** dimension))
 
 

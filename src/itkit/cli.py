@@ -227,7 +227,8 @@ def cmd_delays(cfg: Config, out_dir: Path, seed: int | None) -> int:
     payload = {
         "momenta_au": [float(p) for p in momenta],
         "energy_au": energy,
-        "energy_residual": float(np.sum(momenta ** 2 / (2 * masses)) - energy),
+        # the energy shares p^2 / 2m stay in range where p^2 may not
+        "energy_residual": float(np.sum((momenta / np.sqrt(2 * masses)) ** 2) - energy),
     }
     with open(out_dir / "momenta.json", "w") as fh:
         json.dump(payload, fh, indent=2)

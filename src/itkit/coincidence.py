@@ -2,10 +2,12 @@
 
 Arrival-time differences at fixed total energy pin down the initial
 fragment momenta: the two-particle case has a closed form, the general
-case is a bracketed Brent root of the monotone energy equation.  A
-two-Gaussian momentum model (relative width sigma, center-of-mass width
-Sigma) maps through the imaging relations to a coincidence-rate curve
-P(DeltaT), which can be synthesized with Poisson noise and fit back.
+case is a Newton root of the energy equation in the earliest fragment's
+flight time, where the equation's -1/2 power is concave, so the iterates
+rise monotonically to the root.  A two-Gaussian momentum model (relative
+width sigma, center-of-mass width Sigma) maps through the imaging
+relations to a coincidence-rate curve P(DeltaT), which can be synthesized
+with Poisson noise and fit back.
 
 In strict back-to-back geometry the curve depends on (sigma, Sigma) only
 through kappa = 1/Sigma^2 - 1/(4 sigma^2) plus an overall scale, so the
@@ -165,64 +167,51 @@ def _pair_residual(tau: float, p1: float, p2: float, m: float, E: float) -> floa
 def invert_delays_numeric(obs: DelayObservation) -> np.ndarray:
     """Solve the N delay equations for the fragment momenta.
 
-    The delay equations express every momentum through the first,
-    p_n' = m_n r_n / (DeltaT_n + m_1 r_1 / p_1'), so the system reduces to
-    the single energy equation h(p_1') = sum p_n'^2 / 2 m_n - E = 0.  Each
-    p_n' grows with p_1', so h is strictly increasing and runs from -E at
-    p_1' -> 0 to a positive value at the upper end of the admissible
-    interval; the unique root is bracketed and found with Brent's method,
-    and that root is the branch continuously connected to the equal-energy
-    point.
+    Let fragment k arrive first and let T_k be its flight time were it to
+    carry all of E.  In units of T_k every flight time is u + b_n, with
+    b_n >= 0 the arrival lag of fragment n behind k, and the energy shell
+    reads K(u) = sum g_n / (u + b_n)^2 = 1 with g_n = (m_n / m_k)(r_n / r_k)^2.
+    K^(-1/2) is a power mean of the flight times with exponent -2, so it is
+    increasing and concave in u.  No energy share w_n^2 = g_n / (u + b_n)^2
+    exceeds 1 at the root, so u >= sqrt(g_n) - b_n for every n (n = k gives
+    1).  Newton's method on K^(-1/2) = 1, started at the largest of these
+    bounds, where K >= 1, climbs monotonically to the unique root, and then
+    p_n' = sqrt(2 m_n E) w_n.
     """
-    # plain floats: Brent evaluates h a few dozen times on 2-3 fragments,
-    # where numpy's per-call overhead would dominate
+    # plain floats: Newton evaluates K a few times on 2-3 fragments, where
+    # numpy's per-call overhead would dominate.  Products such as m r or
+    # r / v leave the float range, so everything stays in units of T_k, and
+    # a non-finite or non-positive intermediate means no representable answer.
     m = obs.masses.tolist()
     r = obs.distances.tolist()
     E = float(obs.energy)
-    t1 = m[0] * r[0]
-    mr = [mn * rn for mn, rn in zip(m[1:], r[1:])]
-    delays = obs.delays.tolist()
-    two_m = [2.0 * mn for mn in m]
-
-    def momenta(p1: float) -> list[float]:
-        # t1 / p1 overflows at a subnormal p1, and delays * p1 at a delay
-        # near the float limit: multiply through by p1 only when it is small
-        if p1 < 1.0:
-            return [p1] + [k * p1 / (d * p1 + t1) for k, d in zip(mr, delays)]
-        return [p1] + [k / (d + t1 / p1) for k, d in zip(mr, delays)]
-
-    def h(p1: float) -> float:
-        # summed in order, as np.sum does for fewer than 8 terms
-        total = 0.0
-        for pn, tm in zip(momenta(p1), two_m):
-            total += pn * pn / tm
-        return total - E
-
-    # upper limit: each denominator DeltaT_n + t1/p1 must stay positive
-    hi = math.sqrt(2.0 * m[0] * E)
-    # compared before dividing: t1 / |DeltaT| overflows for tiny delays
-    earliest = -min(delays)
-    if earliest * hi > t1:
-        hi = t1 / earliest
-    # back off the bound until h is finite and positive, while it stays positive
-    shrink = 1e-12
-    while not (math.isfinite(h(hi * (1.0 - shrink))) and h(hi * (1.0 - shrink)) > 0.0):
-        shrink *= 4.0
-        if shrink >= 0.5:
-            raise InfeasibleError("no positive-momentum solution brackets the energy shell")
-    hi_eff = hi * (1.0 - shrink)
-    lo = hi_eff * 1e-12
-    if h(lo) >= 0.0:
-        raise InfeasibleError("no positive-momentum solution brackets the energy shell")
-    # imported here, not at module level: scipy.optimize is ~0.5 s of start-up
-    from scipy.optimize import brentq
-
-    p1 = brentq(h, lo, hi_eff, xtol=1e-300, rtol=8.881784197001252e-16,
-                maxiter=NEWTON_MAX_ITER)
-    p = np.array(momenta(p1))
-    if np.any(p <= 0) or abs(h(p1)) > NEWTON_TOL * max(1.0, E):
+    lag = [0.0] + obs.delays.tolist()
+    k = lag.index(min(lag))
+    inv_t = math.sqrt(2.0 * E) / math.sqrt(m[k]) / r[k]  # 1 / T_k
+    s = [math.sqrt(mn / m[k]) * (rn / r[k]) for mn, rn in zip(m, r)]  # sqrt(g_n)
+    b = [(dn - lag[k]) * inv_t for dn in lag]
+    if not (0.0 < inv_t < math.inf and all(0.0 < sn < math.inf for sn in s)
+            and all(bn < math.inf for bn in b)):
+        raise InfeasibleError("delays, masses or distances span more than the float range")
+    u = max(sn - bn for sn, bn in zip(s, b))
+    for _ in range(NEWTON_MAX_ITER):
+        K = dK = 0.0  # K(u) and -K'(u) / 2
+        for sn, bn in zip(s, b):
+            x = u + bn
+            q = sn / x * (sn / x)
+            K += q
+            dK += q / x
+        step = K * (math.sqrt(K) - 1.0) / dK
+        u += step
+        # the iterates rise to the root, so a step below rounding ends it
+        if not step > 4e-16 * u:
+            break
+    w = [sn / (u + bn) for sn, bn in zip(s, b)]
+    p = [math.sqrt(2.0 * mn) * (math.sqrt(E) * wn) for mn, wn in zip(m, w)]
+    if not (abs(sum(wn * wn for wn in w) - 1.0) <= NEWTON_TOL
+            and all(0.0 < pn < math.inf for pn in p)):
         raise InfeasibleError("delay inversion did not converge")
-    return p
+    return np.array(p)
 
 
 def pair_model_momentum_density(p1_vec, p2_vec, params: PairModelParams):

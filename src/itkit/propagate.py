@@ -57,12 +57,12 @@ class EvolutionSpec:
     potential: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.t_end <= self.t_start:
-            raise DomainError("t_end must exceed t_start")
+        if not -math.inf < self.t_start < self.t_end < math.inf:
+            raise DomainError("t_end must exceed t_start, both finite")
         if self.n_steps < 1:
             raise DomainError("need at least one step")
-        if self.mass <= 0:
-            raise DomainError("mass must be positive")
+        if not 0 < self.mass < math.inf:
+            raise DomainError("mass must be positive and finite")
         if self.potential is not None:
             v = np.asarray(self.potential, dtype=float)
             v.setflags(write=False)
@@ -79,8 +79,8 @@ def evolve_free_exact(field: ComplexField, m: float, T: float) -> ComplexField:
     Accepts either representation and returns the same one.  Unitary by
     construction.
     """
-    if T < 0:
-        raise DomainError("T must be nonnegative")
+    if not (0 < m < math.inf and 0 <= T < math.inf):
+        raise DomainError("m must be positive and T nonnegative, both finite")
     if field.representation == MOMENTUM:
         p2 = _p_squared(field.grid)
         out = field.values * np.exp(-1j * p2 * T / (2.0 * m * HBAR))
@@ -168,8 +168,8 @@ def kernel_mixed_semiclassical(r, p, t: float, tau: float, m: float, F=None) -> 
     semiclassical) in both cases.
     """
     T = t - tau
-    if T < 0:
-        raise DomainError("t must not precede tau")
+    if not 0 <= T < math.inf:
+        raise DomainError("t must not precede tau, and t - tau must be finite")
     d = len(np.atleast_1d(r))
     s = action_S_tilde_uniform(r, p, T, m, F)
     return (2.0 * np.pi * HBAR) ** (-d / 2.0) * np.exp(1j * s / HBAR)
@@ -178,8 +178,8 @@ def kernel_mixed_semiclassical(r, p, t: float, tau: float, m: float, F=None) -> 
 def kernel_position_semiclassical(r, r_prime, t: float, tau: float, m: float, F=None) -> complex:
     """Position-space kernel [m/(2 pi i hbar T)]^{d/2} e^{i S / hbar}."""
     T = t - tau
-    if T <= 0:
-        raise DomainError("t must exceed tau")
+    if not 0 < T < math.inf:
+        raise DomainError("t must exceed tau, and t - tau must be finite")
     d = len(np.atleast_1d(r))
     s = action_S_uniform(r, r_prime, T, m, F)
     pref = (m / (2.0 * np.pi * 1j * HBAR * T)) ** (d / 2.0)

@@ -135,10 +135,10 @@ class HyperConfig:
 
     def __post_init__(self):
         m = np.atleast_1d(np.asarray(self.masses, dtype=float))
-        if np.any(m <= 0) or self.mu <= 0:
-            raise DomainError("masses and mu must be positive")
-        if self.energy <= 0:
-            raise DomainError("E must be positive")
+        if not (np.all((m > 0) & (m < np.inf)) and 0 < self.mu < math.inf):
+            raise DomainError("masses and mu must be positive and finite")
+        if not 0 < self.energy < math.inf:
+            raise DomainError("E must be positive and finite")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)

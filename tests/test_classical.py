@@ -35,6 +35,17 @@ class TestActions:
         with pytest.raises(DomainError):
             action_S_uniform(1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("F", [None, [0.5]])
+    def test_requires_positive_finite_time(self, T, F):
+        with pytest.raises(DomainError):
+            action_S_uniform(1.0, 0.0, T, 1.0, F)
+        with pytest.raises(DomainError):
+            stationary_momentum(1.0, 0.0, T, 1.0, F)
+        if T != 0.0:  # S~ is defined at T = 0
+            with pytest.raises(DomainError):
+                action_S_tilde_uniform(1.0, 1.0, T, 1.0, F)
+
     def test_tilde_free_values(self):
         assert action_S_tilde_uniform(0.0, 1.0, 2.0, 1.0) == pytest.approx(-1.0)
         assert action_S_tilde_uniform(3.0, 1.0, 0.0, 1.0) == pytest.approx(3.0)
@@ -96,6 +107,12 @@ class TestVanVleck:
         assert van_vleck_time(1.0, 2.0, 3) == pytest.approx(0.125)
         assert van_vleck_time(1.0, 2.0, 1) == pytest.approx(0.5)
         assert van_vleck_time([1.0, 1.0], [2.0, 4.0], 3) == pytest.approx(0.125 / 64)
+
+    @pytest.mark.parametrize("m, T", [(1.0, 0.0), (1.0, math.nan), (1.0, math.inf),
+                                      (math.nan, 1.0), (-1.0, 1.0), ([1.0, math.nan], [1.0, 2.0])])
+    def test_rejects_non_positive_or_non_finite(self, m, T):
+        with pytest.raises(DomainError):
+            van_vleck_time(m, T)
 
     def test_numeric_free(self):
         c = van_vleck_numeric(lambda r: stationary_momentum(r, [0.0], 2.0, 1.0), [1.0])

@@ -91,6 +91,23 @@ class TestDelaysCommand:
                       "masses = 1,1\ndistances = 1,1\nenergy = 1\ndelays = 0,0\n")
         assert code == 3
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("config, code, momenta", [
+        # solvable, but the Brent bracket search reported "did not converge"
+        ("masses = 1.0, 0.1\ndistances = 1.0, 0.1\nenergy = 1.0\ndelays = -1000\n", 0,
+         [9.999776398146242e-4, 0.4472134837015449]),
+        # p1 = 1.4e-400 has no float: exit 3, where the Brent solver crashed
+        # with ZeroDivisionError (a traceback and exit 1)
+        ("masses = 1e-200, 1.0\ndistances = 1e-200, 1.0\nenergy = 1.0\ndelays = 0.0\n", 3, None),
+    ], ids=["early_light_fragment", "underflowing_momentum"])
+    def test_extreme_geometry(self, tmp_path, capsys, config, code, momenta):
+        assert run(tmp_path, "delays", config)[0] == code
+        if momenta is None:
+            assert capsys.readouterr().err.startswith("infeasible:")
+        else:
+            p = json.loads(capsys.readouterr().out)["momenta_au"]
+            np.testing.assert_allclose(p, momenta, rtol=4e-16, atol=0)
+
 
 class TestItCheckCommand:
     def test_default_scenario(self, tmp_path):

@@ -75,6 +75,47 @@ def numeric_inversion_reference(obs):
     return momenta(p1)
 
 
+def mpmath_inversion(mp, obs):
+    """Momenta of ``obs`` to the working precision of ``mp``.
+
+    Independent of the library's scaled Newton iteration: the unknown is the
+    earliest fragment's flight time t, every other flight time is t plus its
+    arrival lag, and the energy equation sum m_n r_n^2 / 2 t_n^2 = E is
+    solved by Anderson's bracketing method between the flight time of the
+    earliest fragment carrying all of E and the common flight time of all.
+    """
+    m = [mp.mpf(x) for x in obs.masses.tolist()]
+    r = [mp.mpf(x) for x in obs.distances.tolist()]
+    lag = [mp.mpf(0)] + [mp.mpf(x) for x in obs.delays.tolist()]
+    E = mp.mpf(float(obs.energy))
+    first = min(lag)
+    c = [mn * rn * rn / 2 for mn, rn in zip(m, r)]
+    t = mp.findroot(lambda t: sum(cn / (t + ln - first) ** 2 for cn, ln in zip(c, lag)) - E,
+                    (mp.sqrt(c[lag.index(first)] / E), mp.sqrt(sum(c) / E)), solver="anderson")
+    return [mn * rn / (t + ln - first) for mn, rn, ln in zip(m, r, lag)]
+
+
+def inversion_condition(obs, p):
+    """First-order bound on the relative change of each p_n, in units of eps,
+    when every mass, distance, delay and the energy moves by eps relative to
+    itself.
+
+    With the earliest flight time tau, t_n = tau + lag_n - lag_k and energy
+    shares e_n = m_n r_n^2 / 2 t_n^2, the energy equation moves tau by at
+    most [3 sum e_n + E + 2 sum e_n (|lag_n| + |lag_k|) / t_n] / (2 sum e_n / t_n),
+    and p_n = m_n r_n / t_n adds its own mass, distance and lag terms.
+    """
+    m, r = obs.masses.tolist(), obs.distances.tolist()
+    lag = [0.0] + obs.delays.tolist()
+    first = abs(min(lag))
+    t = [mn * rn / pn for mn, rn, pn in zip(m, r, p)]
+    e = [pn * pn / (2.0 * mn) for mn, pn in zip(m, p)]
+    shift = (3.0 * sum(e) + float(obs.energy)
+             + 2.0 * sum(en * (abs(ln) + first) / tn for en, ln, tn in zip(e, lag, t))) \
+        / (2.0 * sum(en / tn for en, tn in zip(e, t)))
+    return [2.0 + (shift + abs(ln) + first) / tn for ln, tn in zip(lag, t)]
+
+
 def curve_loop_reference(geometry, params, E, delta_t):
     """Unnormalized coincidence curve evaluated one delay at a time."""
     t0 = characteristic_time(geometry.mass, geometry.distance, E)
@@ -308,6 +349,66 @@ class TestNumericInversion:
             obs = DelayObservation(masses, distances, 1.0, delays)
             np.testing.assert_allclose(invert_delays_numeric(obs),
                                        numeric_inversion_reference(obs), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("masses, distances, delays, expected", [
+        # the Brent bracket search gave up on both ("did not converge"); the
+        # values are mpmath's, rounded to floats
+        ([1.0, 0.1], [1.0, 0.1], [-1000.0], [9.999776398146242e-4, 0.4472134837015449]),
+        ([1.0, 0.1, 2.0], [1.0, 0.1, 1.0], [-1000.0, 5.0],
+         [9.999776398035558e-4, 0.4472132623238968, 1.9900054747180877e-3]),
+    ])
+    def test_known_momenta(self, masses, distances, delays, expected):
+        obs = DelayObservation(masses, distances, 1.0, delays)
+        np.testing.assert_allclose(invert_delays_numeric(obs), expected, rtol=4 * EPS, atol=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_unrepresentable_momentum_typed(self):
+        # p1 = 1.4e-400 underflows; the Brent solver divided by zero here
+        with pytest.raises(InfeasibleError):
+            invert_delays_numeric(DelayObservation([1e-200, 1.0], [1e-200, 1.0], 1.0, [0.0]))
+
+    @pytest.mark.filterwarnings("error")
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(-300.0, 300.0).map(lambda x: 10.0 ** x), min_size=n, max_size=n),
+        st.lists(st.floats(-300.0, 300.0).map(lambda x: 10.0 ** x), min_size=n, max_size=n),
+        st.floats(-300.0, 300.0).map(lambda x: 10.0 ** x),
+        st.lists(st.floats(-1.7e308, 1.7e308)
+                 | st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-320.0, 308.0))
+                 .map(lambda t: t[0] * 10.0 ** t[1]), min_size=n - 1, max_size=n - 1))))
+    @settings(max_examples=300, deadline=None)
+    def test_momenta_or_typed_error_over_float_range(self, case):
+        # every accepted observation gives finite positive momenta on the
+        # energy shell, or InfeasibleError when they cannot be represented
+        masses, distances, energy, delays = case
+        obs = DelayObservation(masses, distances, energy, delays)
+        try:
+            p = invert_delays_numeric(obs).tolist()
+        except InfeasibleError:
+            return
+        assert all(0.0 < pn < math.inf for pn in p)
+        shell = sum((pn / math.sqrt(2.0 * mn) / math.sqrt(energy)) ** 2
+                    for pn, mn in zip(p, masses))
+        assert abs(shell - 1.0) <= NEWTON_TOL + 8 * EPS
+
+    def test_matches_mpmath_over_seeded_sweep(self):
+        # 2-4 fragments, masses and distances in e^+-3, energies in e^+-8 and
+        # delays from subnormal to 1e8; the Brent solver refused 817 of these
+        # and was off by up to 7e-10 on the rest.  The bound is backward
+        # stability: no worse than moving every input by two ulps
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2024)
+        with mp.workdps(40):
+            for i in range(4000):
+                n = int(rng.integers(2, 5))
+                obs = DelayObservation(np.exp(rng.uniform(-3.0, 3.0, n)),
+                                       np.exp(rng.uniform(-3.0, 3.0, n)),
+                                       float(np.exp(rng.uniform(-8.0, 8.0))),
+                                       rng.standard_normal(n - 1) * [1e-320, 1e-8, 1.0, 1e3, 1e8][i % 5])
+                p = invert_delays_numeric(obs).tolist()
+                exact = mpmath_inversion(mp, obs)
+                kappa = inversion_condition(obs, [float(x) for x in exact])
+                for pn, xn, kn in zip(p, exact, kappa):
+                    assert abs(pn - xn) / xn <= 2.0 * EPS * kn, (i, p)
 
     def test_observation_validation(self):
         with pytest.raises(DomainError):

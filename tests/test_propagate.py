@@ -91,8 +91,24 @@ class TestFreeExact:
         with pytest.raises(DomainError):
             evolve_free_exact(psi, 1.0, -1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m, T", [(1.0, math.nan), (1.0, math.inf),
+                                      (-1.0, 1.0), (0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0)])
+    def test_bad_mass_or_time_rejected(self, m, T):
+        _, psi = packet()
+        with pytest.raises(DomainError):
+            evolve_free_exact(psi, m, T)
+
 
 class TestSplitOperator:
+    @pytest.mark.parametrize("mass, t_start, t_end", [
+        (1.0, 0.0, 0.0), (math.nan, 0.0, 1.0), (0.0, 0.0, 1.0), (math.inf, 0.0, 1.0),
+        (1.0, 0.0, math.nan), (1.0, 0.0, math.inf), (1.0, math.nan, 1.0), (1.0, -math.inf, 1.0),
+    ])
+    def test_spec_rejects_bad_mass_or_times(self, mass, t_start, t_end):
+        with pytest.raises(DomainError):
+            EvolutionSpec(mass=mass, t_start=t_start, t_end=t_end, n_steps=10)
+
     def test_zero_potential_matches_exact(self):
         grid, psi = packet()
         spec = EvolutionSpec(mass=1.0, t_start=0.0, t_end=20.0, n_steps=50)
@@ -227,6 +243,16 @@ class TestKernels:
     def test_position_requires_ordering(self):
         with pytest.raises(DomainError):
             kernel_position_semiclassical([0.0], [0.0], 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_position_requires_finite_time(self, t):
+        with pytest.raises(DomainError):
+            kernel_position_semiclassical([0.0], [0.0], t, 0.0, 1.0)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_mixed_requires_ordering(self, t):
+        with pytest.raises(DomainError):
+            kernel_mixed_semiclassical([0.0], [1.0], t, 0.0, 1.0)
 
     def test_quadrature_convolution_matches_exact(self):
         # convolving the initial packet with the position kernel reproduces

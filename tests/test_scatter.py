@@ -261,6 +261,15 @@ class TestHyperConfig:
         lhs = 1.0 * 1.0 + 2.0 * 1.0
         assert 0.7 * cfg.hyper_separation(r, rp) ** 2 == pytest.approx(lhs)
 
+    @pytest.mark.parametrize("masses, mu, E", [
+        ([1.0, math.nan], 1.0, 0.5), ([1.0, math.inf], 1.0, 0.5), ([1.0, 0.0], 1.0, 0.5),
+        ([1.0, 1.0], math.nan, 0.5), ([1.0, 1.0], math.inf, 0.5), ([1.0, 1.0], -1.0, 0.5),
+        ([1.0, 1.0], 1.0, math.nan), ([1.0, 1.0], 1.0, math.inf), ([1.0, 1.0], 1.0, 0.0),
+    ])
+    def test_rejects_non_positive_or_non_finite(self, masses, mu, E):
+        with pytest.raises(DomainError):
+            hyper_config(masses, mu, E)
+
 
 class TestHyperQuantities:
     def test_characteristic_time(self):

@@ -1,12 +1,12 @@
 """Start-up guards: each command imports only the scipy it runs.
 
-Importing ``itkit.cli`` must load no scipy module, and ``xsec``, ``greens``
-and a ``coincidence`` simulation must finish without one; ``delays`` needs
-``scipy.optimize`` and nothing from ``scipy.interpolate``.  Every check runs
-in a fresh interpreter, because by the time these tests run the pytest
-process has imported scipy through other test modules.  The same fresh
-interpreters make a first call through each function-local scipy import,
-which no other test can reach before scipy is already loaded.
+Importing ``itkit.cli`` must load no scipy module, and ``xsec``, ``greens``,
+``delays`` and a ``coincidence`` simulation must finish without one: delay
+inversion is a plain-float Newton solve that needs no ``scipy.optimize``.
+Every check runs in a fresh interpreter, because by the time these tests
+run the pytest process has imported scipy through other test modules.  The
+same fresh interpreters make a first call through each function-local scipy
+import, which no other test can reach before scipy is already loaded.
 
 ``itkit.bessel`` computes the Hankel function in pure Python, not with
 ``scipy.special.hankel1``: importing ``scipy.special`` raises the resident
@@ -74,18 +74,12 @@ def run_command(tmp_path, command: str, config_text: str) -> tuple[int, list[str
     pytest.param("greens", README_CONFIGS["greens"], id="greens"),
     pytest.param("greens", GREENS_N4, id="greens_n4"),
     pytest.param("coincidence", README_CONFIGS["coincidence"], id="coincidence"),
+    pytest.param("delays", README_CONFIGS["delays"], id="delays"),
 ])
 def test_command_loads_no_scipy(tmp_path, command, config_text):
     code, loaded = run_command(tmp_path, command, config_text)
     assert code == 0
     assert loaded == []
-
-
-def test_delays_loads_optimize_only(tmp_path):
-    code, loaded = run_command(tmp_path, "delays", README_CONFIGS["delays"])
-    assert code == 0
-    assert "scipy.optimize" in loaded
-    assert not any(m.startswith("scipy.interpolate") for m in loaded)
 
 
 # first calls through each deferred import, each checked against a known
