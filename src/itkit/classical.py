@@ -44,7 +44,7 @@ class Trajectory:
 
     def __post_init__(self):
         for name in ("r_start", "p_start", "r_end", "p_end"):
-            a = _vec(getattr(self, name))
+            a = np.array(getattr(self, name), dtype=float, ndmin=1)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         if len({self.r_start.shape, self.p_start.shape, self.r_end.shape, self.p_end.shape}) > 1:

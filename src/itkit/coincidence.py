@@ -42,21 +42,22 @@ class DelayObservation:
     delays: np.ndarray
 
     def __post_init__(self):
-        m = np.atleast_1d(np.asarray(self.masses, dtype=float))
-        r = np.atleast_1d(np.asarray(self.distances, dtype=float))
-        d = np.atleast_1d(np.asarray(self.delays, dtype=float))
-        if not (np.all((m > 0) & (m < np.inf)) and np.all((r > 0) & (r < np.inf))
+        # copies, so freezing them leaves the caller's arrays writable
+        m, r, d = (np.array(a, dtype=float, ndmin=1)
+                   for a in (self.masses, self.distances, self.delays))
+        if max(m.ndim, r.ndim, d.ndim) > 1:
+            raise DomainError("masses, distances and delays must be one-dimensional")
+        # plain floats: numpy's per-call overhead dominates on 2-3 fragments
+        if not (all(0 < x < math.inf for x in m.tolist() + r.tolist())
                 and 0 < self.energy < math.inf):
             raise DomainError("masses, distances and energy must be positive and finite")
         if len(d) != len(m) - 1 or len(r) != len(m):
             raise DomainError("need one distance per fragment and N-1 delays")
-        if not np.all(np.isfinite(d)):
+        if not all(-math.inf < x < math.inf for x in d.tolist()):
             raise DomainError("delays must be finite")
-        for a in (m, r, d):
+        for name, a in (("masses", m), ("distances", r), ("delays", d)):
             a.setflags(write=False)
-        object.__setattr__(self, "masses", m)
-        object.__setattr__(self, "distances", r)
-        object.__setattr__(self, "delays", d)
+            object.__setattr__(self, name, a)
 
     @property
     def n_particles(self) -> int:
@@ -96,17 +97,19 @@ class CoincidenceDataset:
     normalization: float = 1.0
 
     def __post_init__(self):
-        dt = np.atleast_1d(np.asarray(self.delta_t, dtype=float))
-        c = np.atleast_1d(np.asarray(self.counts))
+        dt = np.array(self.delta_t, dtype=float, ndmin=1)
+        c = np.array(self.counts, dtype=float, ndmin=1)
+        if dt.ndim > 1 or c.shape != dt.shape:
+            raise DomainError("delta_t and counts must be one-dimensional and of equal length")
+        if not (np.all(np.isfinite(dt)) and np.all(np.isfinite(c))):
+            raise DomainError("delta_t and counts must be finite")
         if np.any(np.diff(dt) <= 0):
             raise DomainError("delta_t must be strictly increasing")
-        if np.any(np.asarray(c) < 0):
+        if np.any(c < 0):
             raise DomainError("counts must be nonnegative")
-        dt.setflags(write=False)
-        c = np.asarray(c, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "delta_t", dt)
-        object.__setattr__(self, "counts", c)
+        for name, a in (("delta_t", dt), ("counts", c)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 def characteristic_time(m: float, r: float, E: float) -> float:
@@ -283,6 +286,24 @@ def _reduced_curve(p1, p2, distance: float, kappa: float, log_scale: float) -> n
     return np.exp(log_scale + kappa * p1 * p2) * (p1 * p2 / distance ** 2) ** 3
 
 
+def _weighted_residuals(p1, p2, distance: float, counts, w):
+    """Weighted residuals of the reduced model in x = (kappa, log_scale), and their Jacobian.
+
+    The model m = exp(log_scale + kappa p1 p2) (p1 p2 / r^2)^3 has the
+    exact derivatives dm/dkappa = p1 p2 m and dm/dlog_scale = m.
+    """
+    pp = p1 * p2
+
+    def resid(x):
+        return w * (_reduced_curve(p1, p2, distance, x[0], x[1]) - counts)
+
+    def jac(x):
+        wm = w * _reduced_curve(p1, p2, distance, x[0], x[1])
+        return np.column_stack((pp * wm, wm))
+
+    return resid, jac
+
+
 def _kappa(params: PairModelParams) -> float:
     return 1.0 / params.Sigma ** 2 - 1.0 / (4.0 * params.sigma ** 2)
 
@@ -292,11 +313,12 @@ def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
 
     Counting weights are 1/sqrt(max(count, 1)).  Because back-to-back data
     constrain only kappa and the scale, the optimizer works in those two
-    parameters; sigma is then recovered holding Sigma at its initial value
-    (or Sigma is moved if that leaves no positive sigma^2).  Returns
-    (params, scale, result dict) with the (sigma, Sigma, scale) covariance
-    from the pseudo-inverse of the full-model Jacobian; the flat direction
-    shows up there as a large variance on Sigma.
+    parameters, on the model's exact Jacobian; sigma is then recovered
+    holding Sigma at its initial value (or Sigma is moved if that leaves no
+    positive sigma^2).  Returns (params, scale, result dict) with the
+    (sigma, Sigma, scale) covariance from the pseudo-inverse of the
+    full-model Jacobian; the flat direction shows up there as a large
+    variance on Sigma.
     """
     if len(dataset.delta_t) < 5:
         raise FitError("need at least 5 histogram rows to fit")
@@ -312,13 +334,12 @@ def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
     model0 = _reduced_curve(p1, p2, g.distance, kappa0, 0.0)
     scale0 = math.log(max(counts.max() / model0.max(), 1e-300))
 
-    def resid(x):
-        return w * (_reduced_curve(p1, p2, g.distance, x[0], x[1]) - counts)
+    resid, jac = _weighted_residuals(p1, p2, g.distance, counts, w)
 
     # imported here, not at module level: scipy.optimize is ~0.5 s of start-up
     from scipy.optimize import least_squares
 
-    sol = least_squares(resid, x0=[kappa0, scale0], method="lm", xtol=1e-14,
+    sol = least_squares(resid, x0=[kappa0, scale0], jac=jac, method="lm", xtol=1e-14,
                         ftol=1e-14, gtol=1e-14, max_nfev=2000)
     if not sol.success:
         raise FitError(f"least squares did not converge: {sol.message}")

@@ -41,7 +41,7 @@ class UniformField:
     force: np.ndarray
 
     def __post_init__(self):
-        f = np.atleast_1d(np.asarray(self.force, dtype=float))
+        f = np.array(self.force, dtype=float, ndmin=1)
         if not np.all(np.isfinite(f)):
             raise DomainError("force must be finite")
         f.setflags(write=False)
@@ -130,10 +130,9 @@ class ComplexField:
     def __post_init__(self):
         if self.representation not in (POSITION, MOMENTUM):
             raise RepresentationError(f"unknown representation {self.representation!r}")
-        v = np.asarray(self.values, dtype=complex)
+        v = np.array(self.values, dtype=complex)
         if v.shape != tuple(self.grid.n):
             raise ShapeError(f"values shape {v.shape} does not match grid {self.grid.n}")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -237,7 +236,7 @@ class GaussianPacketSpec:
     r0: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
     def __post_init__(self):
-        p0 = np.atleast_1d(np.asarray(self.p0, dtype=float))
+        p0 = np.array(self.p0, dtype=float, ndmin=1)
         sp = np.broadcast_to(np.asarray(self.sigma_p, dtype=float), p0.shape).copy()
         r0 = np.broadcast_to(np.asarray(self.r0, dtype=float), p0.shape).copy()
         if not np.all(sp > 0):

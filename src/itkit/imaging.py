@@ -36,7 +36,7 @@ class DetectorPatch:
     arrival_time: float
 
     def __post_init__(self):
-        r = np.atleast_1d(np.asarray(self.position, dtype=float))
+        r = np.array(self.position, dtype=float, ndmin=1)
         r.setflags(write=False)
         object.__setattr__(self, "position", r)
         if not MACROSCOPIC_RADIUS < np.linalg.norm(r) < math.inf:
@@ -62,7 +62,7 @@ class ITResult:
     phase: float
 
     def __post_init__(self):
-        p = np.atleast_1d(np.asarray(self.momentum_point, dtype=float))
+        p = np.array(self.momentum_point, dtype=float, ndmin=1)
         p.setflags(write=False)
         object.__setattr__(self, "momentum_point", p)
         if self.vv_factor <= 0:

@@ -64,7 +64,7 @@ class EvolutionSpec:
         if not 0 < self.mass < math.inf:
             raise DomainError("mass must be positive and finite")
         if self.potential is not None:
-            v = np.asarray(self.potential, dtype=float)
+            v = np.array(self.potential, dtype=float)
             v.setflags(write=False)
             object.__setattr__(self, "potential", v)
 

@@ -134,12 +134,11 @@ class HyperConfig:
     energy: float
 
     def __post_init__(self):
-        m = np.atleast_1d(np.asarray(self.masses, dtype=float))
+        m = np.array(self.masses, dtype=float, ndmin=1)
         if not (np.all((m > 0) & (m < np.inf)) and 0 < self.mu < math.inf):
             raise DomainError("masses and mu must be positive and finite")
         if not 0 < self.energy < math.inf:
             raise DomainError("E must be positive and finite")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "masses", m)
 

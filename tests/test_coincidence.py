@@ -17,7 +17,9 @@ from itkit.coincidence import (
     PairGeometry,
     PairModelParams,
     _pair_residual,
+    _kappa,
     _reduced_curve,
+    _weighted_residuals,
     characteristic_time,
     coincidence_curve,
     curve_to_csv,
@@ -190,15 +192,22 @@ class TestPairInversion:
         with pytest.raises(DomainError):
             invert_delays_pair(1.0, m=m, E=E)
 
-    @pytest.mark.parametrize("masses, distances, energy", [
-        ([1.0, 1.0], [1.0, 1.0], math.nan),
-        ([1.0, 1.0], [1.0, 1.0], math.inf),
-        ([1.0, math.nan], [1.0, 1.0], 1.0),
-        ([1.0, 1.0], [math.inf, 1.0], 1.0),
+    @pytest.mark.parametrize("masses, distances, energy, delays", [
+        ([1.0, 1.0], [1.0, 1.0], math.nan, [0.5]),
+        ([1.0, 1.0], [1.0, 1.0], math.inf, [0.5]),
+        ([1.0, math.nan], [1.0, 1.0], 1.0, [0.5]),
+        ([1.0, 1.0], [math.inf, 1.0], 1.0, [0.5]),
+        ([1.0, 1.0], [1.0, 1.0], 1.0, [math.nan]),
+        ([1.0, 1.0], [1.0, 1.0], 1.0, [math.inf]),
+        ([1.0, 1.0], [1.0, 1.0], 1.0, [-math.inf]),
+        ([0.0, 1.0], [1.0, 1.0], 1.0, [0.5]),
+        ([1.0, -1.0], [1.0, 1.0], 1.0, [0.5]),
+        ([1.0, 1.0], [0.0, 1.0], 1.0, [0.5]),
+        ([1.0, 1.0], [1.0, -2.0], 1.0, [0.5]),
     ])
-    def test_observation_rejects_non_finite(self, masses, distances, energy):
+    def test_observation_rejects_non_finite(self, masses, distances, energy, delays):
         with pytest.raises(DomainError):
-            DelayObservation(masses, distances, energy, [0.5])
+            DelayObservation(masses, distances, energy, delays)
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
     def test_array_matches_scalar_calls(self, shape):
@@ -415,6 +424,11 @@ class TestNumericInversion:
             DelayObservation([1.0, 1.0], [1.0, 1.0], 1.0, [0.1, 0.2])
         with pytest.raises(DomainError):
             DelayObservation([1.0, -1.0], [1.0, 1.0], 1.0, [0.1])
+        # more than one dimension, which the solver could not read
+        with pytest.raises(DomainError):
+            DelayObservation([[1.0, 1.0]], [[1.0, 1.0]], 1.0, [])
+        with pytest.raises(DomainError):
+            DelayObservation([[1.0], [1.0]], [[1.0], [1.0]], 1.0, [[0.5]])
 
 
 class TestPairModel:
@@ -526,6 +540,45 @@ class TestFit:
         np.testing.assert_allclose(_reduced_curve(p1, p2, 0.8, kappa, log_scale),
                                    reduced_curve_loop_reference(ds, kappa, log_scale),
                                    rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("x", [(-0.38, 0.0), (-0.23, 0.9), (-0.1, 4.0)])
+    def test_jacobian_matches_central_differences(self, x):
+        ds = synthesize_dataset(PairGeometry(1.0, 1.0), MODEL_PARAMS, 8.0, 7371.527, seed=5)
+        t0 = characteristic_time(1.0, 1.0, 8.0)
+        p1, p2 = invert_delays_pair(ds.delta_t / t0, 1.0, 8.0)
+        w = 1.0 / np.sqrt(np.maximum(ds.counts, 1.0))
+        resid, jac = _weighted_residuals(p1, p2, 1.0, ds.counts, w)
+        x = np.array(x)
+        central = np.empty((len(ds.counts), 2))
+        for j in range(2):
+            step = np.zeros(2)
+            step[j] = 1e-6 * max(1.0, abs(x[j]))
+            central[:, j] = (resid(x + step) - resid(x - step)) / (2.0 * step[j])
+        np.testing.assert_allclose(jac(x), central, rtol=1e-7, atol=0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_finite_difference_fit(self, seed):
+        """The exact-Jacobian fit lands where a finite-difference fit of the
+        same residual does, and fits no worse."""
+        from scipy.optimize import least_squares
+
+        g, E, initial = PairGeometry(1.0, 1.0), 8.0, PairModelParams(0.8, 12.0)
+        ds = synthesize_dataset(g, MODEL_PARAMS, E, 7371.527, seed=seed)
+        params, _, report = fit_pair_model(ds, initial)
+
+        t0 = characteristic_time(g.mass, g.distance, E)
+        p1, p2 = invert_delays_pair(ds.delta_t / t0, g.mass, E)
+        w = 1.0 / np.sqrt(np.maximum(ds.counts, 1.0))
+        resid, _ = _weighted_residuals(p1, p2, g.distance, ds.counts, w)
+        kappa0 = _kappa(initial)
+        scale0 = math.log(ds.counts.max() / _reduced_curve(p1, p2, g.distance, kappa0, 0.0).max())
+        ref = least_squares(resid, x0=[kappa0, scale0], jac="2-point", method="lm",
+                            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
+        kappa_ref = ref.x[0]
+        sigma_ref = 0.5 / math.sqrt(1.0 / initial.Sigma ** 2 - kappa_ref)
+        assert report["kappa"] == pytest.approx(kappa_ref, rel=1e-7, abs=0)
+        assert params.sigma == pytest.approx(sigma_ref, rel=1e-7, abs=0)
+        assert report["chi2"] <= float(np.sum(ref.fun ** 2)) * (1.0 + 1e-12)
 
     def test_noiseless_recovery(self):
         g = PairGeometry(1.0, 1.0)
@@ -686,3 +739,17 @@ class TestSerialization:
             CoincidenceDataset([0.0, 0.0], [1.0, 1.0], g, 8.0)
         with pytest.raises(DomainError):
             CoincidenceDataset([0.0, 1.0], [1.0, -1.0], g, 8.0)
+
+    @pytest.mark.parametrize("delta_t, counts", [
+        (np.linspace(-1.0, 1.0, 6), [1.0, 2.0, math.nan, 2.0, 1.0, 0.0]),
+        (np.linspace(-1.0, 1.0, 6), [1.0, 2.0, math.inf, 2.0, 1.0, 0.0]),
+        (np.linspace(-1.0, 1.0, 6), [1.0, 2.0, 3.0, 2.0, 1.0]),
+        (np.linspace(-1.0, 1.0, 5), [1.0, 2.0, 3.0, 2.0, 1.0, 0.0]),
+        ([-1.0, -0.5, math.nan, 0.5, 1.0], [1.0, 2.0, 3.0, 2.0, 1.0]),
+        ([-1.0, -0.5, 0.0, 0.5, math.inf], [1.0, 2.0, 3.0, 2.0, 1.0]),
+        ([[-1.0, -0.5, 0.0, 0.5, 1.0]], [[1.0, 2.0, 3.0, 2.0, 1.0]]),
+        ([-1.0, -0.5, 0.0, 0.5, 1.0], [[1.0, 2.0, 3.0, 2.0, 1.0]]),
+    ])
+    def test_dataset_rejects_bad_arrays(self, delta_t, counts):
+        with pytest.raises(DomainError):
+            CoincidenceDataset(delta_t, counts, PairGeometry(1.0, 1.0), 8.0)

@@ -151,9 +151,10 @@ class TestCoincidence:
         assert_same_bytes(tmp_path, curve_to_csv, ref_curve_to_csv, *cols)
 
     def test_dataset_counts(self, tmp_path):
-        # half-integer counts round half to even; -0.0 prints as 0
-        dt = [-math.inf, -1.7976931348623157e308, -0.1, -0.0, 5e-324, 0.1,
-              1.7976931348623157e308, math.inf, math.nan]
+        # half-integer counts round half to even; -0.0 prints as 0.  A dataset
+        # holds finite delays only, so the extremes are the largest floats.
+        dt = [-1.7976931348623157e308, -1e300, -0.1, -0.0, 5e-324, 0.1, 1.0, 1e300,
+              1.7976931348623157e308]
         counts = [0.5, 1.5, 2.5, -0.0, 3.4999999999999996, 1e20, 2.0 ** 53 + 2, 7.0, 0.0]
         ds = CoincidenceDataset(dt, counts, PairGeometry(1.0, 1.0), 8.0)
         assert_same_bytes(tmp_path, dataset_to_csv, ref_dataset_to_csv, ds)
