@@ -52,13 +52,18 @@ class Trajectory:
         T = self.duration
         if T <= 0:
             raise DomainError("trajectory requires t_end > t_start")
-        f = np.zeros_like(self.r_start) if self.field is None else self.field.force
-        terms = (self.r_start, self.p_start * T / self.mass, f * T ** 2 / (2.0 * self.mass))
+        # free motion is F = None: no field term
+        terms, p_pred = [self.r_start, self.p_start * T / self.mass], self.p_start
+        if self.field is not None:
+            f = self.field.force
+            if f.shape != self.r_start.shape:
+                raise ShapeError(f"field has {len(f)} components, the endpoints {len(self.r_start)}")
+            terms.append(f * T ** 2 / (2.0 * self.mass))
+            p_pred = p_pred + f * T
         # rounding in r_pred grows with its largest term, which on a long
         # weak-field path (p T/m ~ F T^2/2m >> r) far exceeds |r_end|
         scale = max(1.0, float(np.max(np.abs([*terms, self.r_end]))))
         r_pred = sum(terms)
-        p_pred = self.p_start + f * T
         if np.max(np.abs(r_pred - self.r_end)) > 1e-9 * scale:
             raise DomainError("endpoints do not satisfy the equation of motion")
         if np.max(np.abs(p_pred - self.p_end)) > 1e-9 * max(1.0, float(np.max(np.abs(self.p_end)))):
@@ -70,8 +75,10 @@ class Trajectory:
 
     @property
     def energy(self) -> float:
-        f = np.zeros_like(self.r_start) if self.field is None else self.field.force
-        return float(np.dot(self.p_end, self.p_end) / (2.0 * self.mass) - np.dot(f, self.r_end))
+        e = np.dot(self.p_end, self.p_end) / (2.0 * self.mass)
+        if self.field is not None:
+            e = e - np.dot(self.field.force, self.r_end)
+        return float(e)
 
     @property
     def action(self) -> float:

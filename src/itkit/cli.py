@@ -172,6 +172,15 @@ def cmd_it_check(cfg: Config, out_dir: Path, seed: int | None) -> int:
         raise ConfigError(f"mass must be positive, got {mass:g}")
     if np.any(times <= 0):
         raise ConfigError(f"times must be positive, got {times.min():g}")
+    # each time names its two density files with %g: a repeated time, or two
+    # that print alike, would overwrite them
+    seen: dict[str, float] = {}
+    for t in times.tolist():
+        label = f"{t:g}"
+        if label in seen:
+            raise ConfigError(f"times {seen[label]!r} and {t!r} both write "
+                              f"exact_density_t{label}.csv; give each time once")
+        seen[label] = t
     if n > MAX_IT_POINTS:
         raise ConfigError(f"n_points must be at most {MAX_IT_POINTS}, got {n}")
     with _config_values():
@@ -189,9 +198,10 @@ def cmd_it_check(cfg: Config, out_dir: Path, seed: int | None) -> int:
             raise ConfigError(f"n_points = {n} cannot resolve the packet at t = {t:g}: "
                               f"spacing {xgrid.spacing[0]:.3g} bohr")
         xgrids.append(xgrid)
+    # Phi is the same at every t, so its spline is built once
+    phi = sample_gaussian(packet, pgrid, "momentum")
     errors = []
     for t, xgrid in zip(times, xgrids):
-        phi = sample_gaussian(packet, pgrid, "momentum")
         psi0 = sample_gaussian(packet, xgrid, "position")
         exact_psi = to_position(
             propagate.evolve_free_exact(to_momentum(psi0), mass, float(t)), xgrid

@@ -149,10 +149,13 @@ def evolve_split_operator(field: ComplexField, spec: EvolutionSpec) -> ComplexFi
     import scipy.fft
 
     norm_in = field.norm()
+    # a fresh array, so every step can transform and multiply in place
     vals = field.values * half_kick
     for step in range(n_steps):
-        vals = scipy.fft.ifftn(scipy.fft.fftn(vals) * drift)
-        vals = vals * (full_kick if step + 1 < n_steps else last_kick)
+        vals = scipy.fft.fftn(vals, overwrite_x=True)
+        vals *= drift
+        vals = scipy.fft.ifftn(vals, overwrite_x=True)
+        vals *= full_kick if step + 1 < n_steps else last_kick
     out = field.with_values(vals, field.time_label + (spec.t_end - spec.t_start))
     check_boundary(out, "evolve_split_operator output")
     if abs(out.norm() - norm_in) > 1e-9 * max(norm_in, 1.0):
@@ -190,7 +193,8 @@ def interpolate_field(field: ComplexField, points: np.ndarray,
                       fill: complex | None = None) -> np.ndarray:
     """Not-a-knot cubic tensor spline of the field values at off-grid points.
 
-    The spline is exact at the grid nodes in every dimension.  ``points`` has
+    The spline is exact at the grid nodes in every dimension.  The field
+    builds it on the first call and keeps it for later ones.  ``points`` has
     shape (..., d) for a grid of d axes; any other last axis raises a shape
     error.  Points outside the grid raise a support error unless ``fill`` is
     given (useful when the field has decayed to zero at its edges).
@@ -204,19 +208,8 @@ def interpolate_field(field: ComplexField, points: np.ndarray,
     inside = np.all((lo <= points) & (points <= hi), axis=-1)
     if fill is None and not np.all(inside):
         raise SupportError(f"point {points[~inside][0]} lies outside the grid support")
-    # imported here, not at module level: scipy.interpolate is ~0.5 s of start-up
-    from scipy.interpolate import NdBSpline, make_interp_spline
-
-    # one 1-D solve per axis; BSpline puts its axis first, so move it back
-    coeffs, knots = field.values, []
-    for ax, nodes in enumerate(grid.axes()):
-        spline = make_interp_spline(nodes, coeffs, k=3, axis=ax)
-        coeffs = np.moveaxis(spline.c, 0, ax)
-        knots.append(spline.t)
     q = np.clip(points, lo, hi)
-    # in 1-D the one axis spline is the interpolant; NdBSpline would look its
-    # knots up linearly, ~100x slower on a 32,768-point axis
-    out = spline(q[..., 0]) if d == 1 else NdBSpline(tuple(knots), coeffs, 3)(q)
+    out = field._spline(q[..., 0]) if d == 1 else field._spline(q)
     # without a fill every point is inside; np.where with None would give objects
     return out if fill is None else np.where(inside, out, fill)
 

@@ -249,6 +249,14 @@ class TestTrajectoryInvariant:
             Trajectory(r_start=[0.0], p_start=[1.0, 1.0], t_start=0.0,
                        r_end=[1.0], p_end=[1.0, 1.0], t_end=1.0)
 
+    @pytest.mark.parametrize("force", [[0.0, 0.0, 0.0], [0.0]])
+    def test_field_dimension_mismatch_rejected(self, force):
+        # a 1-D path in a 3-D field, and a 3-D path in a 1-D field
+        d = 1 if len(force) == 3 else 3
+        with pytest.raises(ShapeError):
+            Trajectory([0.0] * d, [1.0] * d, 0.0, [1.0] * d, [1.0] * d, 1.0,
+                       field=UniformField(force))
+
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(DomainError):
             Trajectory(r_start=[0.0], p_start=[1.0], t_start=1.0,

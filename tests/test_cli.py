@@ -122,6 +122,21 @@ class TestItCheckCommand:
         assert (out / "exact_density_t500.csv").is_file()
         assert (out / "it_density_t1000.csv").is_file()
 
+    @pytest.mark.parametrize("times, named", [
+        ("250, 250", "250.0 and 250.0"),
+        ("500, 250, 2.5e2", "250.0 and 250.0"),
+        # distinct times that name the same files
+        ("1000000, 1000001", "1000000.0 and 1000001.0"),
+    ])
+    def test_repeated_time_is_config_error(self, tmp_path, capsys, times, named):
+        # a repeat used to run twice, overwrite its files and repeat its error row
+        code, out = run(tmp_path, "it-check", f"times = {times}\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert named in err
+        assert not any(out.glob("*.csv"))
+
     def test_near_field_warning(self, tmp_path, capsys):
         # the library's warning, reported once as one line
         code, _ = run(tmp_path, "it-check", "times = 5\nn_points = 8192\n")

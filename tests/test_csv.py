@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itkit import core
+from itkit import core, imaging
 from itkit.classical import enumerate_trajectories_uniform_1d, trajectories_to_csv
 from itkit.cli import main
 from itkit.coincidence import (
@@ -21,6 +21,7 @@ from itkit.coincidence import (
     dataset_to_csv,
 )
 from itkit.core import ComplexField, Grid, centered_grid_1d, field_to_csv
+from itkit.errors import ShapeError
 from itkit.imaging import density_to_csv
 from itkit.scatter import green_scan_to_csv
 
@@ -136,6 +137,59 @@ class TestFieldAndDensity:
         assert_same_bytes(tmp_path, density_to_csv, ref_density_to_csv, grid, dens)
 
 
+class TestDensityCoordinateMemo:
+    """density_to_csv keeps the last grid's formatted coordinates; every write
+    must still give the reference bytes, whichever grid came before."""
+
+    @staticmethod
+    def assert_writes(tmp_path, writes):
+        for grid, dens in writes:
+            assert_same_bytes(tmp_path, density_to_csv, ref_density_to_csv, grid, dens)
+
+    @staticmethod
+    def density(grid, seed):
+        return np.random.default_rng(seed).random(grid.n)
+
+    def test_consecutive_writes_on_one_grid(self, tmp_path):
+        grid = centered_grid_1d(50.0, 300, 2.0)
+        self.assert_writes(tmp_path, [(grid, self.density(grid, k)) for k in range(3)])
+
+    @pytest.mark.parametrize("other", [
+        Grid((64,), (0.5,), (-16.25,)),
+        Grid((64,), (0.5000000000000001,), (-16.0,)),
+    ], ids=["origin", "spacing"])
+    def test_alternating_grids_of_equal_size(self, tmp_path, other):
+        grid = Grid((64,), (0.5,), (-16.0,))
+        self.assert_writes(tmp_path, [(g, self.density(g, k))
+                                      for k, g in enumerate([grid, other, grid, other])])
+
+    def test_signed_zero_origin(self, tmp_path):
+        # equal grids: -0.0 + 0.0 * dx is 0.0, so both write the same coordinates
+        plus, minus = Grid((9,), (0.25,), (0.0,)), Grid((9,), (0.25,), (-0.0,))
+        assert plus == minus
+        self.assert_writes(tmp_path, [(plus, self.density(plus, 0)),
+                                      (minus, self.density(minus, 1)),
+                                      (plus, edge_column(9))])
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_around_block_size(self, tmp_path, n):
+        grid = centered_grid_1d(123.4, n, 1.0)
+        self.assert_writes(tmp_path, [(grid, self.density(grid, 0)), (grid, edge_column(n)),
+                                      (centered_grid_1d(123.4, n, 1.5), self.density(grid, 1))])
+
+    def test_2d_grid(self, tmp_path):
+        grid = Grid((8, 12), (0.25, 1.0 / 3.0), (-1.0, 0.1))
+        flat = Grid((96,), (0.25,), (-1.0,))
+        self.assert_writes(tmp_path, [(grid, self.density(grid, 0)), (grid, self.density(grid, 1)),
+                                      (flat, self.density(flat, 2)), (grid, edge_column(96))])
+
+    def test_density_size_must_match_grid(self, tmp_path):
+        grid = centered_grid_1d(10.0, 16)
+        for n in (15, 17):
+            with pytest.raises(ShapeError):
+                density_to_csv(grid, np.ones(n), tmp_path / "d.csv")
+
+
 class TestTrajectories:
     @pytest.mark.parametrize("r", [-10.0, 1.0])
     def test_trajectories(self, tmp_path, r):
@@ -207,6 +261,30 @@ class TestCliFiles:
         assert main(["it-check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert self.assert_canonical(tmp_path / "error_vs_time.csv",
                                      "time_au,max_relative_error") == 2
+
+    def test_it_check_densities(self, tmp_path, monkeypatch):
+        # every density file is the reference writer applied to its own grid
+        # and its parsed density column: exact and imaged files share a grid,
+        # so the second of each pair writes memoized coordinates
+        grids, write = {}, imaging.density_to_csv
+
+        def recording(grid, density, path, comment=None):
+            grids[path.name] = grid
+            write(grid, density, path, comment)
+
+        monkeypatch.setattr(imaging, "density_to_csv", recording)
+        cfg = tmp_path / "it.txt"
+        cfg.write_text("times = 500, 1000\nn_points = 16384\n")
+        out = tmp_path / "out"
+        assert main(["it-check", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(grids) == sorted(f"{kind}_density_t{t}.csv"
+                                       for kind in ("exact", "it") for t in (500, 1000))
+        for name, grid in grids.items():
+            path = out / name
+            comment = path.read_text().splitlines()[0][2:]
+            density = np.loadtxt(path, delimiter=",", skiprows=2)[:, 1]
+            ref_density_to_csv(grid, density, tmp_path / "ref.csv", comment)
+            assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("v0", [0.0, 0.01])
     def test_xsec(self, tmp_path, v0):

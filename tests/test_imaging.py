@@ -392,6 +392,37 @@ class TestIncidentChannel:
         assert a3 == pytest.approx(a1[0] * a1[1] * a1[2], rel=1e-12)
 
 
+class TestSplineKeptPerField:
+    """Point-at-a-time maps read one field's spline, built on the first call."""
+
+    def test_many_particle_scan(self, axis_solves):
+        # two particles in 2-D: a 12^4 joint momentum grid, one solve per axis
+        grid = Grid((12,) * 4, (0.2,) * 4, (-0.1,) * 4)
+        p = grid.meshgrid()
+        phi = ComplexField(grid, MOMENTUM, np.exp(-sum((a - 1.0) ** 2 for a in p)
+                                                  + 0.3j * p[0] * p[3]))
+        t = 1000.0
+        r = np.random.default_rng(0).uniform(0.5, 1.5, (10, 2, 2)) * t
+        dens = [many_particle_it(phi, [1.0, 1.0], [t, t], ri) for ri in r]
+        assert len(axis_solves) == 4
+        assert min(dens) > 0
+
+    @pytest.mark.parametrize("name", ["it_point", "incident_amplitude", "detection_probability"])
+    def test_point_maps(self, axis_solves, name):
+        phi = momentum_packet(n=512)
+        position = ComplexField(centered_grid_1d(400.0, 64, 2000.0), POSITION,
+                                np.full(64, 1e-6 + 0j), 100.0)
+        calls = {
+            "it_point": lambda x: it_point(phi, 1.0, 1000.0, [1000.0 * x]),
+            "incident_amplitude": lambda x: incident_amplitude(phi, 1.0, 1000.0, [-1000.0 * x]),
+            "detection_probability": lambda x: detection_probability(
+                position, DetectorPatch([2000.0 * x], 1e-4, 0.5, 100.0)),
+        }
+        for x in np.linspace(0.95, 1.05, 8):
+            calls[name](x)
+        assert len(axis_solves) == 1
+
+
 class TestChained:
     def test_product_example(self):
         assert chained_density(0.0375, 2.48050e-4) == pytest.approx(9.3019e-6, rel=1e-4)

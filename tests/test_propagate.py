@@ -435,6 +435,31 @@ class TestInterpolateField:
         spline = make_interp_spline(phi.grid.axis(0), phi.values, k=3)
         assert np.array_equal(interpolate_field(phi, pts[:, None]), spline(pts))
 
+    @pytest.mark.parametrize("n", [(256,), (12, 13, 14)])
+    def test_spline_built_once_per_field(self, axis_solves, n):
+        field = self.correlated_field(n, (0.1,) * len(n), (-0.5,) * len(n))
+        pts = np.random.default_rng(0).uniform(-0.4, 0.6, (5, 7, len(n)))
+        kept = [interpolate_field(field, p) for p in pts]
+        assert len(axis_solves) == len(n)
+        # the kept spline answers as a fresh field's does
+        fresh = self.correlated_field(n, (0.1,) * len(n), (-0.5,) * len(n))
+        assert np.array_equal(kept, interpolate_field(fresh, pts))
+        assert len(axis_solves) == 2 * len(n)
+
+    def test_with_values_field_has_its_own_spline(self, axis_solves):
+        field = self.correlated_field((20, 24), (0.1, 0.1), (-1.0, -1.2))
+        nodes = np.stack([a.ravel() for a in np.meshgrid(*field.grid.axes(), indexing="ij")],
+                         axis=-1)
+        interpolate_field(field, nodes)
+        doubled = field.with_values(2.0 * field.values)
+        out = interpolate_field(doubled, nodes)
+        assert len(axis_solves) == 4
+        np.testing.assert_allclose(out, doubled.values.ravel(), rtol=0, atol=1e-13)
+        # the original keeps answering with its own values
+        np.testing.assert_allclose(interpolate_field(field, nodes), field.values.ravel(),
+                                   rtol=0, atol=1e-13)
+        assert len(axis_solves) == 4
+
     @pytest.mark.parametrize("ax", [0, 1, 2])
     @pytest.mark.parametrize("side", [-1, 1])
     def test_one_support_rule_on_every_face(self, ax, side):
