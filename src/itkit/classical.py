@@ -45,13 +45,16 @@ class Trajectory:
     def __post_init__(self):
         for name in ("r_start", "p_start", "r_end", "p_end"):
             a = np.array(getattr(self, name), dtype=float, ndmin=1)
+            if not np.all(np.isfinite(a)):
+                raise DomainError(f"{name} must be finite")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         if len({self.r_start.shape, self.p_start.shape, self.r_end.shape, self.p_end.shape}) > 1:
             raise ShapeError("r_start, p_start, r_end and p_end need the same length")
         T = self.duration
-        if T <= 0:
-            raise DomainError("trajectory requires t_end > t_start")
+        # a non-finite time leaves T infinite or NaN
+        if not (0 < T < math.inf and 0 < self.mass < math.inf):
+            raise DomainError("need finite times with t_end > t_start, and a positive finite mass")
         # free motion is F = None: no field term
         terms, p_pred = [self.r_start, self.p_start * T / self.mass], self.p_start
         if self.field is not None:
@@ -151,7 +154,7 @@ def van_vleck_time(m, T, dimension: int = 3) -> float:
     return float(np.prod((m / T) ** dimension))
 
 
-def van_vleck_numeric(momentum_map, r, step: float | None = None) -> float:
+def van_vleck_numeric(momentum_map, r) -> float:
     """|det dp'/dr| of a launch-momentum map by central differences.
 
     ``momentum_map`` takes a final position vector and returns the launch
@@ -160,8 +163,7 @@ def van_vleck_numeric(momentum_map, r, step: float | None = None) -> float:
     """
     r = _vec(r)
     d = len(r)
-    if step is None:
-        step = FD_REL_STEP * max(1.0, float(np.max(np.abs(r))))
+    step = FD_REL_STEP * max(1.0, float(np.max(np.abs(r))))
     jac = np.empty((d, d))
     for j in range(d):
         e = np.zeros(d)

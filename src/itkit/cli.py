@@ -34,7 +34,7 @@ from .core import (
     to_momentum,
     to_position,
 )
-from .errors import DomainError, FitError, InfeasibleError, ItkitError
+from .errors import DomainError, InfeasibleError, ItkitError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -151,11 +151,11 @@ class Config:
         return "config: " + " ".join(f"{k}={v}" for k, v in sorted(self.raw.items()))
 
 
-def _percentile_region(density: np.ndarray, frac: float = 0.99) -> np.ndarray:
-    """Boolean mask of the smallest point set holding ``frac`` of the density."""
+def _percentile_region(density: np.ndarray) -> np.ndarray:
+    """Boolean mask of the smallest point set holding 99% of the density."""
     order = np.argsort(density.ravel())[::-1]
     csum = np.cumsum(density.ravel()[order])
-    k = int(np.searchsorted(csum, frac * csum[-1])) + 1
+    k = int(np.searchsorted(csum, 0.99 * csum[-1])) + 1
     mask = np.zeros(density.size, dtype=bool)
     mask[order[:k]] = True
     return mask.reshape(density.shape)
@@ -394,10 +394,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleError,) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ItkitError, FitError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ItkitError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

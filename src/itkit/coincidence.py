@@ -59,10 +59,6 @@ class DelayObservation:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    @property
-    def n_particles(self) -> int:
-        return len(self.masses)
-
 
 @dataclass(frozen=True)
 class PairModelParams:
@@ -94,7 +90,6 @@ class CoincidenceDataset:
     counts: np.ndarray
     geometry: PairGeometry
     energy: float
-    normalization: float = 1.0
 
     def __post_init__(self):
         dt = np.array(self.delta_t, dtype=float, ndmin=1)
@@ -237,44 +232,14 @@ def pair_model_momentum_density(p1_vec, p2_vec, params: PairModelParams):
     return float(dens) if dens.ndim == 0 else dens
 
 
-def coincidence_curve(geometry: PairGeometry, params: PairModelParams, E: float,
-                      delta_t, normalize: bool = True):
-    """Back-to-back coincidence rate P(DeltaT) on a delay grid.
-
-    Each delay is inverted to (p1', p2'); the rate is the phase-space
-    factor (p1' p2' / r^2)^3 times the model momentum density evaluated at
-    the back-to-back vectors p1' z, -p2' z.  Returns (delta_t, p1, p2, P);
-    with ``normalize`` the peak is scaled to 1 (the overall scale is
-    arbitrary).
-    """
-    delta_t = np.atleast_1d(np.asarray(delta_t, dtype=float))
-    t0 = characteristic_time(geometry.mass, geometry.distance, E)
-    p1, p2 = invert_delays_pair(delta_t / t0, geometry.mass, E)
-    zhat = np.array([0.0, 0.0, 1.0])
-    dens = pair_model_momentum_density(p1[:, None] * zhat, -p2[:, None] * zhat, params)
-    prob = (p1 * p2 / geometry.distance ** 2) ** 3 * dens
-    if normalize and prob.max() > 0:
-        prob = prob / prob.max()
-    return delta_t, p1, p2, prob
+def _kappa(params: PairModelParams) -> float:
+    return 1.0 / params.Sigma ** 2 - 1.0 / (4.0 * params.sigma ** 2)
 
 
-def synthesize_dataset(geometry: PairGeometry, params: PairModelParams, E: float,
-                       n_events: float, seed: int, delta_t=None) -> CoincidenceDataset:
-    """Poisson-sampled coincidence histogram, reproducible for a fixed seed.
-
-    Expected counts are proportional to P(DeltaT) with total ``n_events``.
-    The default delay grid spans ±6 characteristic times in 121 bins.
-    """
-    if not 0 < n_events <= MAX_EVENTS:
-        raise DomainError(f"n_events must lie in (0, {MAX_EVENTS:g}]")
-    if delta_t is None:
-        t0 = characteristic_time(geometry.mass, geometry.distance, E)
-        delta_t = np.linspace(-6.0 * t0, 6.0 * t0, 121)
-    dt, _, _, prob = coincidence_curve(geometry, params, E, delta_t, normalize=False)
-    expected = n_events * prob / prob.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(expected)
-    return CoincidenceDataset(dt, counts, geometry, E)
+def _log_shell_constant(mE: float, params: PairModelParams) -> float:
+    """Log of the back-to-back density's kappa-free factor on the shell p1^2 + p2^2 = 2mE."""
+    s, S = params.sigma, params.Sigma
+    return -3.0 * math.log(2.0 * math.pi * s * S) - mE * (1.0 / (4.0 * s * s) + 1.0 / (S * S))
 
 
 def _reduced_curve(p1, p2, distance: float, kappa: float, log_scale: float) -> np.ndarray:
@@ -284,6 +249,48 @@ def _reduced_curve(p1, p2, distance: float, kappa: float, log_scale: float) -> n
     collapse to kappa * p1 p2 plus constants, kappa = 1/Sigma^2 - 1/(4 sigma^2).
     """
     return np.exp(log_scale + kappa * p1 * p2) * (p1 * p2 / distance ** 2) ** 3
+
+
+def coincidence_curve(geometry: PairGeometry, params: PairModelParams, E: float,
+                      delta_t, normalize: bool = True):
+    """Back-to-back coincidence rate P(DeltaT) on a delay grid.
+
+    Each delay is inverted to (p1', p2'); the rate is the phase-space
+    factor (p1' p2' / r^2)^3 times the model momentum density at the
+    back-to-back vectors p1' z, -p2' z: the reduced model, scaled by the
+    density's shell constant.  Returns (delta_t, p1, p2, P); ``normalize``
+    scales the peak to 1 without forming that constant, which may underflow.
+    """
+    delta_t = np.atleast_1d(np.asarray(delta_t, dtype=float))
+    t0 = characteristic_time(geometry.mass, geometry.distance, E)
+    p1, p2 = invert_delays_pair(delta_t / t0, geometry.mass, E)
+    kappa = _kappa(params)
+    log_scale = (-float(np.max(kappa * p1 * p2)) if normalize
+                 else _log_shell_constant(geometry.mass * E, params))
+    prob = _reduced_curve(p1, p2, geometry.distance, kappa, log_scale)
+    if normalize and prob.max() > 0:
+        prob = prob / prob.max()
+    return delta_t, p1, p2, prob
+
+
+def synthesize_dataset(geometry: PairGeometry, params: PairModelParams, E: float,
+                       n_events: float, seed: int, delta_t=None) -> CoincidenceDataset:
+    """Poisson-sampled coincidence histogram, reproducible for a fixed seed.
+
+    Expected counts are n_events P / sum(P), which does not depend on the
+    curve's scale, so the normalized curve serves.  The default delay grid
+    spans ±6 characteristic times in 121 bins.
+    """
+    if not 0 < n_events <= MAX_EVENTS:
+        raise DomainError(f"n_events must lie in (0, {MAX_EVENTS:g}]")
+    if delta_t is None:
+        t0 = characteristic_time(geometry.mass, geometry.distance, E)
+        delta_t = np.linspace(-6.0 * t0, 6.0 * t0, 121)
+    dt, _, _, prob = coincidence_curve(geometry, params, E, delta_t)
+    expected = n_events * prob / prob.sum()
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(expected)
+    return CoincidenceDataset(dt, counts, geometry, E)
 
 
 def _weighted_residuals(p1, p2, distance: float, counts, w):
@@ -304,10 +311,6 @@ def _weighted_residuals(p1, p2, distance: float, counts, w):
     return resid, jac
 
 
-def _kappa(params: PairModelParams) -> float:
-    return 1.0 / params.Sigma ** 2 - 1.0 / (4.0 * params.sigma ** 2)
-
-
 def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
     """Weighted least-squares fit of the pair model to a coincidence histogram.
 
@@ -316,9 +319,9 @@ def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
     parameters, on the model's exact Jacobian; sigma is then recovered
     holding Sigma at its initial value (or Sigma is moved if that leaves no
     positive sigma^2).  Returns (params, scale, result dict) with the
-    (sigma, Sigma, scale) covariance from the pseudo-inverse of the
-    full-model Jacobian; the flat direction shows up there as a large
-    variance on Sigma.
+    (sigma, Sigma, scale) covariance from the fit's own Jacobian, carried to
+    those parameters by the chain rule; the flat direction shows up there as
+    a large variance on Sigma.  A scale or 1/scale out of float range is a FitError.
     """
     if len(dataset.delta_t) < 5:
         raise FitError("need at least 5 histogram rows to fit")
@@ -331,16 +334,19 @@ def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
     p1, p2 = invert_delays_pair(dataset.delta_t / t0, g.mass, dataset.energy)
 
     kappa0 = _kappa(initial)
-    model0 = _reduced_curve(p1, p2, g.distance, kappa0, 0.0)
-    scale0 = math.log(max(counts.max() / model0.max(), 1e-300))
+    log0 = -float(np.max(kappa0 * p1 * p2))
+    model0 = _reduced_curve(p1, p2, g.distance, kappa0, log0)
+    scale0 = log0 + math.log(max(counts.max() / model0.max(), 1e-300))
 
     resid, jac = _weighted_residuals(p1, p2, g.distance, counts, w)
 
     # imported here, not at module level: scipy.optimize is ~0.5 s of start-up
     from scipy.optimize import least_squares
 
-    sol = least_squares(resid, x0=[kappa0, scale0], jac=jac, method="lm", xtol=1e-14,
-                        ftol=1e-14, gtol=1e-14, max_nfev=2000)
+    # a trial step may overflow the model; LM rejects it and shortens the step
+    with np.errstate(over="ignore"):
+        sol = least_squares(resid, x0=[kappa0, scale0], jac=jac, method="lm", xtol=1e-14,
+                            ftol=1e-14, gtol=1e-14, max_nfev=2000)
     if not sol.success:
         raise FitError(f"least squares did not converge: {sol.message}")
     kappa_hat, log_scale_hat = sol.x
@@ -355,31 +361,23 @@ def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
             raise FitError("fitted kappa is incompatible with positive widths")
         params = PairModelParams(sigma=initial.sigma, Sigma=1.0 / math.sqrt(invS2))
 
+    if not abs(log_scale_hat) < math.log(np.finfo(float).max):
+        raise FitError(f"fitted log(scale) = {log_scale_hat:.6g} leaves the float range")
     scale = math.exp(log_scale_hat)
     chi2 = float(np.sum(resid(sol.x) ** 2))
     dof = max(len(counts) - 2, 1)
 
-    # covariance of (sigma, Sigma, scale) from the full-model Jacobian
-    def full_curve(sigma, Sigma, sc):
-        p = PairModelParams(sigma, Sigma)
-        kap = _kappa(p)
-        # energy-shell constant and Gaussian normalizations, relative to
-        # their values at the fitted point so full_curve(theta_hat) matches
-        def shell(s, S):
-            return math.exp(-dataset.energy * g.mass
-                            * (1.0 / (4.0 * s ** 2) + 1.0 / S ** 2)) / (s * S) ** 3
-        return sc * shell(sigma, Sigma) / shell(params.sigma, params.Sigma) \
-            * _reduced_curve(p1, p2, g.distance, kap, 0.0)
-
-    theta = np.array([params.sigma, params.Sigma, scale])
-    jac = np.empty((len(counts), 3))
-    for j in range(3):
-        h = 1e-6 * max(abs(theta[j]), 1e-6)
-        tp, tm = theta.copy(), theta.copy()
-        tp[j] += h
-        tm[j] -= h
-        jac[:, j] = (full_curve(*tp) - full_curve(*tm)) / (2.0 * h) * w
-    cov = np.linalg.pinv(jac.T @ jac, rcond=1e-12)
+    # covariance of (sigma, Sigma, scale): the chain rule through kappa(sigma, Sigma)
+    # and log_scale = log(scale) + the shell constant's change from the fitted point
+    s, S, mE = params.sigma, params.Sigma, g.mass * dataset.energy
+    chain = np.array([[0.5 / s ** 3, -2.0 / S ** 3, 0.0],
+                      [0.5 * mE / s ** 3 - 3.0 / s, 2.0 * mE / S ** 3 - 3.0 / S, 1.0 / scale]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        full_jac = jac(sol.x) @ chain
+        info = full_jac.T @ full_jac
+    if not np.all(np.isfinite(info)):
+        raise FitError("the (sigma, Sigma, scale) covariance leaves the float range")
+    cov = np.linalg.pinv(info, rcond=1e-12)
 
     report = {
         "sigma": params.sigma,

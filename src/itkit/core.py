@@ -184,7 +184,7 @@ class ComplexField:
         return edge / peak
 
 
-def check_boundary(field: ComplexField, what: str = "field") -> None:
+def check_boundary(field: ComplexField, what: str) -> None:
     ratio = field.boundary_density_ratio()
     if ratio > BOUNDARY_DENSITY_TOLERANCE:
         raise AliasingError(
@@ -224,18 +224,14 @@ def to_momentum(field: ComplexField) -> ComplexField:
     return ComplexField(pgrid, MOMENTUM, out, field.time_label)
 
 
-def to_position(field: ComplexField, position_grid: Grid | None = None) -> ComplexField:
+def to_position(field: ComplexField, position_grid: Grid) -> ComplexField:
     """Inverse of :func:`to_momentum`.
 
     The position grid cannot be recovered from the momentum grid alone, so
-    the caller usually passes the original one.  Without ``position_grid``
-    the transform uses ``field.grid.conjugate()``, whose origin on each axis
-    is -dx*(n//2): that is -L/2 only for even n.
+    the caller passes it, usually the original one.
     """
     if field.representation != MOMENTUM:
         raise RepresentationError("to_position expects a momentum-representation field")
-    if position_grid is None:
-        position_grid = field.grid.conjugate()
     vals = field.values
     for ax in range(field.grid.dimension):
         p = field.grid.axis(ax)

@@ -21,6 +21,7 @@ from .core import HBAR, _write_csv
 from .errors import CausticError, CoverageError, DegenerateInputError, DomainError, SingularityError
 
 TWO_PI = 2.0 * math.pi
+BORN_POINTS = 64  # trapezoid points per axis of the first-order amplitude's cube
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +70,11 @@ def amplitude_from_momentum_wfn(momentum_density: float, m: float, dT_dE: float)
 
 
 def born_amplitude(potential, p_in, p_out, m: float = 1.0,
-                   extent: float = 14.0, n: int = 64) -> complex | np.ndarray:
+                   extent: float = 14.0) -> complex | np.ndarray:
     """First-order amplitude f = -(m / 2 pi hbar^2) int V(r) e^{i q.r} dr.
 
     ``potential`` is V(x, y, z) on arrays; the integral runs over a cube of
-    side ``extent`` centred on the origin with n^3 trapezoid points, so V
+    side ``extent`` centred on the origin with 64^3 trapezoid points, so V
     must be short-range on that scale.  q = p_in - p_out, and |p_in| must
     equal |p_out| (elastic kinematics).  ``p_out`` of shape (3,) gives one
     amplitude; (k, 3) gives k amplitudes from one sampling of V.
@@ -84,9 +85,9 @@ def born_amplitude(potential, p_in, p_out, m: float = 1.0,
     if np.any(np.abs(p_mag - np.linalg.norm(p_out, axis=-1)) > 1e-10 * max(1.0, p_mag)):
         raise DomainError("elastic kinematics require |p_in| = |p_out|")
     q = np.atleast_2d(p_in - p_out)
-    ax = np.linspace(-extent / 2.0, extent / 2.0, n)
+    ax = np.linspace(-extent / 2.0, extent / 2.0, BORN_POINTS)
     x, y, z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
-    v = np.broadcast_to(potential(x, y, z), (n, n, n))
+    v = np.broadcast_to(potential(x, y, z), (BORN_POINTS,) * 3)
     if not np.all(np.isfinite(v)):
         raise CoverageError("potential is not finite on the quadrature grid")
     peak = np.max(np.abs(v))
@@ -94,7 +95,7 @@ def born_amplitude(potential, p_in, p_out, m: float = 1.0,
     if peak > 0 and edge > 1e-10 * peak:
         raise CoverageError("potential has not decayed at the quadrature boundary")
     # e^{i q.r} separates: one trapezoid-weighted phase vector per axis and momentum
-    w = np.ones(n)
+    w = np.ones(BORN_POINTS)
     w[0] = w[-1] = 0.5
     ex, ey, ez = (w * np.exp(1j * qi[:, None] * ax / HBAR) for qi in q.T)
     dv = (ax[1] - ax[0]) ** 3

@@ -261,3 +261,28 @@ class TestTrajectoryInvariant:
         with pytest.raises(DomainError):
             Trajectory(r_start=[0.0], p_start=[1.0], t_start=1.0,
                        r_end=[1.0], p_end=[1.0], t_end=1.0)
+
+    @pytest.mark.parametrize("field", ["r_start", "p_start", "r_end", "p_end",
+                                       "t_start", "t_end", "mass"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_input_rejected(self, field, bad):
+        # r_end = [inf] once built a trajectory whose action was inf
+        kwargs = dict(r_start=[0.0], p_start=[1.0], t_start=0.0, r_end=[1.0], p_end=[1.0],
+                      t_end=1.0, mass=1.0)
+        kwargs[field] = [bad] if field in ("r_start", "p_start", "r_end", "p_end") else bad
+        with pytest.raises(DomainError):
+            Trajectory(**kwargs)
+
+    @pytest.mark.parametrize("mass", [0.0, -1.0, -0.0])
+    def test_non_positive_mass_rejected(self, mass):
+        with pytest.raises(DomainError):
+            Trajectory([0.0], [1.0], 0.0, [1.0], [1.0], 1.0, mass)
+
+    @given(st.floats(-1e6, 1e6), st.floats(-1e3, 1e3), st.floats(-1e6, 1e6),
+           st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_finite_input_constructs(self, r0, p0, t0, duration, mass):
+        # the free path through (r0, p0) over any positive duration is accepted
+        t1 = t0 + duration
+        tr = Trajectory([r0], [p0], t0, [r0 + p0 * (t1 - t0) / mass], [p0], t1, mass)
+        assert math.isfinite(tr.action)

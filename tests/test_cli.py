@@ -168,6 +168,31 @@ class TestCoincidenceCommand:
         report = json.loads((out / "fit.json").read_text())
         assert report["sigma"] == pytest.approx(1.0, rel=0.10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("energy, n_events, fit_code", [(3.67, 1000, 0), (10.0, 5000, 4)])
+    def test_proton_pair(self, tmp_path, capsys, energy, n_events, fit_code):
+        # e^(-mE (1/4 sigma^2 + 1/Sigma^2)) underflows for protons: the curve
+        # once came out as zeros, and synthesis failed on a NaN mean
+        code, out = run(tmp_path, "coincidence",
+                        f"mode = simulate\nmass = 1836\ndistance = 1\nenergy = {energy}\n"
+                        f"sigma = 1\nSigma = 10\nn_events = {n_events}\n", extra=["--seed", "3"])
+        assert code == 0
+        probs = np.loadtxt(out / "curve.csv", delimiter=",", skiprows=2)[:, 3]
+        assert probs.max() == 1.0
+        np.testing.assert_allclose(probs, probs[::-1], rtol=1e-12, atol=0)
+        counts = np.loadtxt(out / "dataset.csv", delimiter=",", skiprows=2)[:, 1]
+        assert abs(counts.sum() - n_events) < 5.0 * math.sqrt(n_events)
+        fit_cfg = (f"mode = fit\nmass = 1836\ndistance = 1\nenergy = {energy}\n"
+                   f"data = {out / 'dataset.csv'}\n")
+        code = main(["coincidence", "--config", str(write_config(tmp_path, fit_cfg, "fit.txt")),
+                     "--out", str(out)])
+        assert code == fit_code
+        if fit_code == 0:
+            assert json.loads((out / "fit.json").read_text())["sigma"] == pytest.approx(1.0, rel=0.1)
+        else:
+            # the widths fit, but e^1443, the scale, is no float
+            assert "log(scale)" in capsys.readouterr().err
+
     def test_missing_data_file(self, tmp_path):
         code, _ = run(tmp_path, "coincidence",
                       "mode = fit\ndistance = 1\nenergy = 8\ndata = /no/such.csv\n")

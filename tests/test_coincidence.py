@@ -621,6 +621,52 @@ class TestFit:
         # the center-of-mass width is unconstrained by back-to-back data
         assert cov[1, 1] > cov[0, 0]
 
+    @pytest.mark.parametrize("true, initial, seed", [
+        ((1.0, 10.0), (0.8, 12.0), 0),
+        ((1.0, 10.0), (0.8, 12.0), 1),
+        ((1.0, 10.0), (0.8, 10.0), 2),
+        ((1.0, 1.5), (1.0, 3.0), 3),  # kappa > 1/Sigma_init^2: Sigma moves, sigma is held
+    ])
+    def test_covariance_matches_full_model_central_differences(self, true, initial, seed):
+        """The chain-rule covariance is the pseudo-inverse built from central
+        differences of the full two-Gaussian model in (sigma, Sigma, scale)."""
+        g, E = PairGeometry(1.0, 1.0), 8.0
+        ds = synthesize_dataset(g, PairModelParams(*true), E, 7371.527, seed=seed)
+        params, scale, report = fit_pair_model(ds, PairModelParams(*initial))
+        assert (params.sigma == initial[0]) == (params.Sigma != initial[1])
+        t0 = characteristic_time(g.mass, g.distance, E)
+        p1, p2 = invert_delays_pair(ds.delta_t / t0, g.mass, E)
+        zhat = np.array([0.0, 0.0, 1.0])
+        phase_space = (p1 * p2 / g.distance ** 2) ** 3
+
+        def density(sigma, Sigma):
+            return pair_model_momentum_density(p1[:, None] * zhat, -p2[:, None] * zhat,
+                                               PairModelParams(sigma, Sigma))
+
+        # the density's shell constant at the fitted widths, divided out so the
+        # full model equals the fitted reduced one at the fitted point
+        j = int(np.argmax(ds.counts))
+        constant = density(params.sigma, params.Sigma)[j] / math.exp(report["kappa"] * p1[j] * p2[j])
+
+        def model(theta):
+            return theta[2] * phase_space * density(theta[0], theta[1]) / constant
+
+        theta = np.array([params.sigma, params.Sigma, scale])
+        w = 1.0 / np.sqrt(np.maximum(ds.counts, 1.0))
+        central = np.empty((len(ds.counts), 3))
+        for k in range(3):
+            step = np.zeros(3)
+            step[k] = 1e-6 * theta[k]
+            central[:, k] = (model(theta + step) - model(theta - step)) / (2.0 * step[k]) * w
+        ref = np.linalg.pinv(central.T @ central, rcond=1e-12)
+        np.testing.assert_allclose(np.array(report["covariance"]), ref, rtol=1e-8, atol=0)
+
+    def test_scale_out_of_float_range_is_fit_error(self):
+        # protons at E = 10: the data fix kappa, but the fitted scale is e^1443
+        ds = synthesize_dataset(PairGeometry(1836.0, 1.0), MODEL_PARAMS, 10.0, 5000, seed=3)
+        with pytest.raises(FitError, match=r"log\(scale\)"):
+            fit_pair_model(ds, MODEL_PARAMS)
+
     def test_inverts_delays_once(self, monkeypatch):
         ds = synthesize_dataset(PairGeometry(1.0, 1.0), MODEL_PARAMS, 8.0,
                                 n_events=20000, seed=3)

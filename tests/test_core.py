@@ -109,7 +109,7 @@ class TestTransforms:
         with pytest.raises(RepresentationError):
             to_momentum(phi)
         with pytest.raises(RepresentationError):
-            to_position(psi)
+            to_position(psi, psi.grid)
 
     def test_aliasing_guard(self):
         grid = centered_grid_1d(4.0, 64)  # much too small for sigma_x = 1

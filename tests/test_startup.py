@@ -1,4 +1,5 @@
-"""Start-up guards: each command imports only the scipy it runs.
+"""Start-up guards: each command imports only the scipy it runs, and the
+README's config for each command runs.
 
 Importing ``itkit.cli`` must load no scipy module, and ``xsec``, ``greens``,
 ``delays`` and a ``coincidence`` simulation must finish without one: delay
@@ -17,6 +18,7 @@ scan, so both paths of ``hankel_h1`` are covered.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,17 +26,30 @@ from pathlib import Path
 import pytest
 
 import itkit
+from itkit import cli
 
 SRC = str(Path(itkit.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
-# the README configs of the commands guarded here
-README_CONFIGS = {
-    "coincidence": "mode = simulate\nmass = 1.0\ndistance = 1.0\nenergy = 8.0\nsigma = 1.0\n"
-                   "Sigma = 10.0\nn_events = 30000\n",
-    "xsec": "v0 = 0.01\na = 1.0\nenergy = 0.5\nn_angles = 19\n",
-    "greens": "n_particles = 1\nenergy = 0.5\nr_min = 1.0\nr_max = 100.0\nn_r = 50\n",
-    "delays": "masses = 1.0, 1.0\ndistances = 1.0, 1.0\nenergy = 1.0\ndelays = 1.0\n",
-}
+
+def readme_configs() -> dict[str, str]:
+    """The fenced block after each "`command` — ..." paragraph of README.md."""
+    configs, command, block = {}, None, None
+    for line in README.read_text().splitlines():
+        if block is not None:
+            if line.startswith("```"):
+                configs[command] = "\n".join(block) + "\n"
+                command, block = None, None
+            else:
+                block.append(line)
+        elif match := re.match(r"`([a-z-]+)` — ", line):
+            command = match.group(1)
+        elif command is not None and line.startswith("```"):
+            block = []
+    return configs
+
+
+README_CONFIGS = readme_configs()
 # an integer-order greens scan, beside the README's half-integer one (N = 1)
 GREENS_N4 = "n_particles = 4\nenergy = 0.5\nr_min = 0.2\nr_max = 100.0\nn_r = 50\n"
 
@@ -54,6 +69,17 @@ def fresh(script: str, *args: str) -> tuple[str, list[str]]:
     assert proc.returncode == 0, proc.stderr
     *lines, last = proc.stdout.splitlines()
     return "\n".join(lines), json.loads(last)
+
+
+def test_readme_documents_every_command():
+    assert sorted(README_CONFIGS) == sorted(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(README_CONFIGS))
+def test_readme_config_runs(tmp_path, command):
+    config = tmp_path / "config.txt"
+    config.write_text(README_CONFIGS[command])
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_import_cli_loads_no_scipy():
