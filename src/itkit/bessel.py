@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import DomainError, StabilityError
+from .errors import DomainError, StabilityError, nonnegative
 
 ASYMPTOTIC_FROM = 25.0
 WRONSKIAN_TOL = 1e-9
@@ -67,7 +67,8 @@ def hankel_h1(order: float, z: float) -> complex:
     order, z = float(order), float(z)  # numpy scalars would slow every recurrence step
     if not (math.isfinite(z) and z >= sys.float_info.min):  # a subnormal z has too few digits
         raise DomainError(f"argument must be finite, positive and normal, got {z}")
-    if not (math.isfinite(order) and order >= 0 and abs(2.0 * order - round(2.0 * order)) <= 2e-12):
+    nonnegative(order=order)
+    if not abs(2.0 * order - round(2.0 * order)) <= 2e-12:
         raise DomainError(f"order must be a nonnegative integer or half-integer, got {order}")
     v0 = 0.5 if round(2.0 * order) % 2 else 0.0
     steps = round(order - v0)
@@ -95,6 +96,6 @@ def hankel_h1(order: float, z: float) -> complex:
     for k in range(steps):
         h_prev, h = h, (2.0 * (v0 + k) / z) * h - h_prev
     h = complex(re, h.imag) if miller else h
-    if not abs(h) < math.inf:
+    if not math.isfinite(abs(h)):
         raise DomainError(f"H1 overflows at order {order}, z={z}")
     return h

@@ -15,14 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UniformField, _write_csv
-from .errors import CausticError, DomainError, ShapeError, SingularityError
+from .core import UniformField, _freeze, _write_csv
+from .errors import (CausticError, DomainError, ShapeError, SingularityError, finite,
+                     nonnegative, positive)
 
 FD_REL_STEP = 1e-5
 
 
 def _vec(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def _distance(r, r_prime) -> float:
+    """|r - r'| between two finite points."""
+    r, r_prime = _vec(r), _vec(r_prime)
+    finite(r=r, r_prime=r_prime)
+    return float(np.linalg.norm(r - r_prime))
 
 
 @dataclass(frozen=True)
@@ -43,18 +51,15 @@ class Trajectory:
     field: UniformField | None = None
 
     def __post_init__(self):
-        for name in ("r_start", "p_start", "r_end", "p_end"):
-            a = np.array(getattr(self, name), dtype=float, ndmin=1)
-            if not np.all(np.isfinite(a)):
-                raise DomainError(f"{name} must be finite")
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        ends = {name: np.array(getattr(self, name), dtype=float, ndmin=1)
+                for name in ("r_start", "p_start", "r_end", "p_end")}
+        finite(**ends)
+        _freeze(self, **ends)
         if len({self.r_start.shape, self.p_start.shape, self.r_end.shape, self.p_end.shape}) > 1:
             raise ShapeError("r_start, p_start, r_end and p_end need the same length")
         T = self.duration
         # a non-finite time leaves T infinite or NaN
-        if not (0 < T < math.inf and 0 < self.mass < math.inf):
-            raise DomainError("need finite times with t_end > t_start, and a positive finite mass")
+        positive(**{"t_end - t_start": T}, mass=self.mass)
         # free motion is F = None: no field term
         terms, p_pred = [self.r_start, self.p_start * T / self.mass], self.p_start
         if self.field is not None:
@@ -94,9 +99,9 @@ def action_S_uniform(r, r_prime, T: float, m: float = 1.0, F=None) -> float:
 
     S = m (r - r')^2 / (2T) [+ F.(r + r') T/2 - F^2 T^3 / (24 m)].
     """
-    if not 0 < T < math.inf:
-        raise DomainError("T must be positive and finite")
+    positive(T=T, m=m)
     r, rp = _vec(r), _vec(r_prime)
+    finite(r=r, r_prime=rp, F=F)
     dr = r - rp
     s = m * np.dot(dr, dr) / (2.0 * T)
     if F is not None:
@@ -115,9 +120,10 @@ def action_S_tilde_uniform(r, p, T: float, m: float = 1.0, F=None) -> float | np
     axes (shape (..., d)); the result is then an array of shape (...), else
     a float.
     """
-    if not 0 <= T < math.inf:
-        raise DomainError("T must be nonnegative and finite")
+    nonnegative(T=T)
+    positive(m=m)
     r, p = _vec(r), _vec(p)
+    finite(r=r, p=p, F=F)
     # vecdot dots over the last axis exactly as np.dot does per point
     s = np.vecdot(p, r) - np.vecdot(p, p) * T / (2.0 * m)
     if F is not None:
@@ -134,9 +140,10 @@ def stationary_momentum(r, r_prime, T: float, m: float = 1.0, F=None) -> np.ndar
     stack end points on leading axes (shape (..., d)); p' then has the
     same shape.
     """
-    if not 0 < T < math.inf:
-        raise DomainError("T must be positive and finite")
-    p = m * (_vec(r) - _vec(r_prime)) / T
+    positive(T=T, m=m)
+    r, r_prime = _vec(r), _vec(r_prime)
+    finite(r=r, r_prime=r_prime, F=F)
+    p = m * (r - r_prime) / T
     if F is not None:
         p = p - _vec(F) * T / 2.0
     return p
@@ -149,8 +156,7 @@ def van_vleck_time(m, T, dimension: int = 3) -> float:
     """
     m = _vec(m)
     T = np.broadcast_to(_vec(T), m.shape)
-    if not np.all((m > 0) & (m < np.inf) & (T > 0) & (T < np.inf)):
-        raise DomainError("masses and T must be positive and finite")
+    positive(m=m, T=T, dimension=dimension)
     return float(np.prod((m / T) ** dimension))
 
 
@@ -162,6 +168,7 @@ def van_vleck_numeric(momentum_map, r) -> float:
     Jacobian is numerically singular (a conjugate point).
     """
     r = _vec(r)
+    finite(r=r)
     d = len(r)
     step = FD_REL_STEP * max(1.0, float(np.max(np.abs(r))))
     jac = np.empty((d, d))
@@ -177,17 +184,14 @@ def van_vleck_numeric(momentum_map, r) -> float:
 
 def characteristic_action_W_free(r, r_prime, E: float, m: float = 1.0) -> float:
     """W = sqrt(2 m E) |r - r'|."""
-    if E <= 0:
-        raise DomainError("E must be positive")
-    R = float(np.linalg.norm(_vec(r) - _vec(r_prime)))
-    return math.sqrt(2.0 * m * E) * R
+    positive(E=E, m=m)
+    return math.sqrt(2.0 * m * E) * _distance(r, r_prime)
 
 
 def time_of_flight_free(r, r_prime, E: float, m: float = 1.0) -> tuple[float, float]:
     """(T, dT/dE) for the free path: T = m R / p', dT/dE = -T / (2E)."""
-    if E <= 0:
-        raise DomainError("E must be positive")
-    R = float(np.linalg.norm(_vec(r) - _vec(r_prime)))
+    positive(E=E, m=m)
+    R = _distance(r, r_prime)
     if R == 0.0:
         raise DomainError("coincident endpoints")
     T = m * R / math.sqrt(2.0 * m * E)
@@ -195,11 +199,11 @@ def time_of_flight_free(r, r_prime, E: float, m: float = 1.0) -> tuple[float, fl
 
 
 def density_D_free(r, r_prime, E: float, m: float = 1.0) -> float:
-    """Fixed-energy trajectory density D = -(dT/dE) C(T) = m^2 / R^2 in 3-D."""
-    R = float(np.linalg.norm(_vec(r) - _vec(r_prime)))
+    """Fixed-energy trajectory density D = -(dT/dE) C(T) = m^2 / R^2 in 3-D, for any E > 0."""
+    positive(E=E, m=m)
+    R = _distance(r, r_prime)
     if R == 0.0:
         raise SingularityError("coincident endpoints")
-    _ = E  # D is energy independent for free motion
     return m * m / (R * R)
 
 
@@ -212,6 +216,8 @@ def enumerate_trajectories_uniform_1d(
     signs are tried and positive flight times kept.  Classically forbidden
     geometry yields an empty list.
     """
+    positive(m=m)
+    finite(r_prime=r_prime, r=r, E=E, F=F)
     ke = 2.0 * m * (E + F * r_prime)
     if ke < 0:
         return []

@@ -34,7 +34,7 @@ from .core import (
     to_momentum,
     to_position,
 )
-from .errors import DomainError, InfeasibleError, ItkitError
+from .errors import DomainError, InfeasibleError, ItkitError, positive
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,12 +64,12 @@ class ConfigError(Exception):
 
 
 @contextmanager
-def _config_values():
-    """Report a library validator's DomainError on config values as a config error."""
+def _config_values(error: type[Exception] = ConfigError):
+    """Report a DomainError on config values as ``error``, a config error or infeasible physics."""
     try:
         yield
     except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise error(str(exc)) from exc
 
 
 def parse_config(path: Path) -> dict[str, str]:
@@ -168,10 +168,6 @@ def cmd_it_check(cfg: Config, out_dir: Path, seed: int | None) -> int:
     times = cfg.vector("times", [250.0, 500.0, 1000.0, 2000.0])
     n = cfg.integer("n_points", 32768)
     cfg.reject_unknown()
-    if mass <= 0:
-        raise ConfigError(f"mass must be positive, got {mass:g}")
-    if np.any(times <= 0):
-        raise ConfigError(f"times must be positive, got {times.min():g}")
     # each time names its two density files with %g: a repeated time, or two
     # that print alike, would overwrite them
     seen: dict[str, float] = {}
@@ -184,6 +180,7 @@ def cmd_it_check(cfg: Config, out_dir: Path, seed: int | None) -> int:
     if n > MAX_IT_POINTS:
         raise ConfigError(f"n_points must be at most {MAX_IT_POINTS}, got {n}")
     with _config_values():
+        positive(mass=mass, times=times)
         packet = GaussianPacketSpec(p0=[p0], sigma_p=[sigma_p], r0=[0.0])
         pgrid = centered_grid_1d(40.0 * sigma_p, n, p0)
     sigma_x = 1.0 / (2.0 * sigma_p)
@@ -228,11 +225,8 @@ def cmd_delays(cfg: Config, out_dir: Path, seed: int | None) -> int:
     energy = cfg.real("energy")
     delays = cfg.vector("delays")
     cfg.reject_unknown()
-    try:
+    with _config_values(InfeasibleError):
         obs = coin.DelayObservation(masses, distances, energy, delays)
-    except DomainError as exc:
-        # the observation parsed fine but describes impossible physics
-        raise InfeasibleError(str(exc)) from exc
     momenta = coin.invert_delays_numeric(obs)
     payload = {
         "momenta_au": [float(p) for p in momenta],
@@ -254,8 +248,8 @@ def cmd_coincidence(cfg: Config, out_dir: Path, seed: int | None) -> int:
     energy = cfg.real("energy")
     with _config_values():
         geometry = coin.PairGeometry(mass, distance)
-    if energy <= 0:
-        raise InfeasibleError(f"energy must be positive, got {energy:g}")
+    with _config_values(InfeasibleError):
+        positive(energy=energy)
     if mode == "simulate":
         sigma = cfg.real("sigma")
         big_sigma = cfg.real("Sigma")
@@ -263,8 +257,8 @@ def cmd_coincidence(cfg: Config, out_dir: Path, seed: int | None) -> int:
         n_bins = cfg.integer("n_bins", 121)
         n_events = cfg.real("n_events", 0.0)
         cfg.reject_unknown()
-        if tau_max <= 0:
-            raise ConfigError(f"tau_max must be positive, got {tau_max:g}")
+        with _config_values():
+            positive(tau_max=tau_max)
         if not 1 <= n_bins <= MAX_BINS:
             raise ConfigError(f"n_bins must lie in [1, {MAX_BINS}], got {n_bins}")
         if n_events > coin.MAX_EVENTS:
@@ -306,10 +300,10 @@ def cmd_xsec(cfg: Config, out_dir: Path, seed: int | None) -> int:
     cfg.reject_unknown()
     if not 1 <= n_angles <= MAX_ANGLES:
         raise ConfigError(f"n_angles must lie in [1, {MAX_ANGLES}], got {n_angles}")
-    if mass <= 0 or a <= 0:
-        raise ConfigError(f"mass and a must be positive, got mass={mass:g}, a={a:g}")
-    if energy <= 0:
-        raise InfeasibleError(f"energy must be positive, got {energy:g}")
+    with _config_values():
+        positive(mass=mass, a=a)
+    with _config_values(InfeasibleError):
+        positive(energy=energy)
     p = math.sqrt(2.0 * mass * energy)
 
     def potential(x, y, z):
@@ -340,10 +334,10 @@ def cmd_greens(cfg: Config, out_dir: Path, seed: int | None) -> int:
         raise ConfigError(f"n_r must lie in [1, {MAX_RADII}], got {n_r}")
     if not 1 <= n_particles <= MAX_PARTICLES:
         raise ConfigError(f"n_particles must lie in [1, {MAX_PARTICLES}], got {n_particles}")
-    if mass <= 0 or mu <= 0:
-        raise ConfigError(f"mass and mu must be positive, got mass={mass:g}, mu={mu:g}")
-    if energy <= 0:
-        raise InfeasibleError(f"energy must be positive, got {energy:g}")
+    with _config_values():
+        positive(mass=mass, mu=mu)
+    with _config_values(InfeasibleError):
+        positive(energy=energy)
     radii = np.linspace(r_min, r_max, n_r)
     rows = []
     for R in radii:

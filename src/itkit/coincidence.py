@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _write_csv
-from .errors import DomainError, FitError, InfeasibleError
+from .core import _freeze, _write_csv
+from .errors import DomainError, FitError, InfeasibleError, finite, nonnegative, positive
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
@@ -48,16 +48,11 @@ class DelayObservation:
         if max(m.ndim, r.ndim, d.ndim) > 1:
             raise DomainError("masses, distances and delays must be one-dimensional")
         # plain floats: numpy's per-call overhead dominates on 2-3 fragments
-        if not (all(0 < x < math.inf for x in m.tolist() + r.tolist())
-                and 0 < self.energy < math.inf):
-            raise DomainError("masses, distances and energy must be positive and finite")
+        positive(masses=m.tolist(), distances=r.tolist(), energy=self.energy)
         if len(d) != len(m) - 1 or len(r) != len(m):
             raise DomainError("need one distance per fragment and N-1 delays")
-        if not all(-math.inf < x < math.inf for x in d.tolist()):
-            raise DomainError("delays must be finite")
-        for name, a in (("masses", m), ("distances", r), ("delays", d)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        finite(delays=d.tolist())
+        _freeze(self, masses=m, distances=r, delays=d)
 
 
 @dataclass(frozen=True)
@@ -68,8 +63,7 @@ class PairModelParams:
     Sigma: float
 
     def __post_init__(self):
-        if not (0 < self.sigma < math.inf and 0 < self.Sigma < math.inf):
-            raise DomainError("model widths must be positive and finite")
+        positive(sigma=self.sigma, Sigma=self.Sigma)
 
 
 @dataclass(frozen=True)
@@ -80,8 +74,7 @@ class PairGeometry:
     distance: float
 
     def __post_init__(self):
-        if not (0 < self.mass < math.inf and 0 < self.distance < math.inf):
-            raise DomainError("mass and distance must be positive and finite")
+        positive(mass=self.mass, distance=self.distance)
 
 
 @dataclass(frozen=True)
@@ -96,21 +89,17 @@ class CoincidenceDataset:
         c = np.array(self.counts, dtype=float, ndmin=1)
         if dt.ndim > 1 or c.shape != dt.shape:
             raise DomainError("delta_t and counts must be one-dimensional and of equal length")
-        if not (np.all(np.isfinite(dt)) and np.all(np.isfinite(c))):
-            raise DomainError("delta_t and counts must be finite")
-        if np.any(np.diff(dt) <= 0):
+        finite(delta_t=dt)
+        nonnegative(counts=c)
+        positive(energy=self.energy)
+        if not np.all(dt[1:] > dt[:-1]):
             raise DomainError("delta_t must be strictly increasing")
-        if np.any(c < 0):
-            raise DomainError("counts must be nonnegative")
-        for name, a in (("delta_t", dt), ("counts", c)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _freeze(self, delta_t=dt, counts=c)
 
 
 def characteristic_time(m: float, r: float, E: float) -> float:
     """Natural delay scale t = sqrt(m r^2 / E)."""
-    if not (0 < m < math.inf and 0 < r < math.inf and 0 < E < math.inf):
-        raise DomainError("m, r and E must be positive and finite")
+    positive(m=m, r=r, E=E)
     return math.sqrt(m * r * r / E)
 
 
@@ -132,11 +121,9 @@ def invert_delays_pair(tau, m: float = 1.0, E: float = 1.0):
     ``tau`` may be a scalar, giving a tuple of two floats, or an array,
     giving two arrays of its shape.  Every element must be finite.
     """
-    if not (0 < m < math.inf and 0 < E < math.inf):
-        raise DomainError("m and E must be positive and finite")
+    positive(m=m, E=E)
+    finite(tau=tau)
     t = np.asarray(tau, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise DomainError("tau must be finite")
     p0 = math.sqrt(m * E)
     a = np.abs(t)
     # a power of two near |tau| (1 for |tau| <= 1): dividing by it is exact,
@@ -222,6 +209,7 @@ def pair_model_momentum_density(p1_vec, p2_vec, params: PairModelParams):
     """
     p1 = np.atleast_1d(np.asarray(p1_vec, dtype=float))
     p2 = np.atleast_1d(np.asarray(p2_vec, dtype=float))
+    finite(p1_vec=p1, p2_vec=p2)
     rel = (p1 - p2) / 2.0
     tot = p1 + p2
     s2 = params.sigma ** 2
@@ -262,6 +250,7 @@ def coincidence_curve(geometry: PairGeometry, params: PairModelParams, E: float,
     scales the peak to 1 without forming that constant, which may underflow.
     """
     delta_t = np.atleast_1d(np.asarray(delta_t, dtype=float))
+    finite(delta_t=delta_t)
     t0 = characteristic_time(geometry.mass, geometry.distance, E)
     p1, p2 = invert_delays_pair(delta_t / t0, geometry.mass, E)
     kappa = _kappa(params)
@@ -281,8 +270,10 @@ def synthesize_dataset(geometry: PairGeometry, params: PairModelParams, E: float
     curve's scale, so the normalized curve serves.  The default delay grid
     spans ±6 characteristic times in 121 bins.
     """
-    if not 0 < n_events <= MAX_EVENTS:
-        raise DomainError(f"n_events must lie in (0, {MAX_EVENTS:g}]")
+    positive(n_events=n_events)
+    nonnegative(seed=seed)
+    if n_events > MAX_EVENTS:
+        raise DomainError(f"n_events must be at most {MAX_EVENTS:g}, got {n_events:g}")
     if delta_t is None:
         t0 = characteristic_time(geometry.mass, geometry.distance, E)
         delta_t = np.linspace(-6.0 * t0, 6.0 * t0, 121)

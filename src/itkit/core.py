@@ -21,6 +21,8 @@ from .errors import (
     DomainError,
     RepresentationError,
     ShapeError,
+    finite,
+    positive,
 )
 
 HBAR = 1.0
@@ -35,6 +37,14 @@ MOMENTUM = "momentum"
 BOUNDARY_DENSITY_TOLERANCE = 1e-12
 
 
+def _freeze(obj, **fields) -> None:
+    """Set ``fields`` on the frozen dataclass ``obj``, each array made read-only first."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class UniformField:
     """Constant force F with potential V_F(r) = -F.r."""
@@ -43,10 +53,8 @@ class UniformField:
 
     def __post_init__(self):
         f = np.array(self.force, dtype=float, ndmin=1)
-        if not np.all(np.isfinite(f)):
-            raise DomainError("force must be finite")
-        f.setflags(write=False)
-        object.__setattr__(self, "force", f)
+        finite(force=f)
+        _freeze(self, force=f)
 
 
 @dataclass(frozen=True)
@@ -62,22 +70,19 @@ class Grid:
     origin: tuple[float, ...]
 
     def __post_init__(self):
-        n = tuple(int(v) for v in np.atleast_1d(self.n))
-        spacing = tuple(float(v) for v in np.atleast_1d(self.spacing))
-        origin = tuple(float(v) for v in np.atleast_1d(self.origin))
+        n = np.atleast_1d(self.n).tolist()
+        spacing = [float(v) for v in np.atleast_1d(self.spacing)]
+        origin = [float(v) for v in np.atleast_1d(self.origin)]
         if not (len(n) == len(spacing) == len(origin)):
             raise DomainError("n, spacing and origin must have equal length")
+        positive(n=n, spacing=spacing)
+        n = [int(v) for v in n]
         if any(v < 8 for v in n):
             raise DomainError("need at least 8 points per axis")
-        if not all(v > 0 for v in spacing):
-            raise DomainError("spacing must be positive")
         # Python floats: an overflowing last coordinate becomes inf without a warning
-        far = [o + s * (k - 1) for o, s, k in zip(origin, spacing, n)]
-        if not np.all(np.isfinite([*spacing, *origin, *far])):
-            raise DomainError("spacing, origin and the last coordinate must be finite")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "origin", origin)
+        finite(origin=origin,
+               last_coordinate=[o + s * (k - 1) for o, s, k in zip(origin, spacing, n)])
+        _freeze(self, n=tuple(n), spacing=tuple(spacing), origin=tuple(origin))
 
     @property
     def dimension(self) -> int:
@@ -113,8 +118,7 @@ class Grid:
 
 def centered_grid_1d(extent: float, n: int, center: float = 0.0) -> Grid:
     """Convenience: 1-D grid of total length ``extent`` centred on ``center``."""
-    if n <= 0:
-        raise DomainError(f"need a positive number of points, got {n}")
+    positive(extent=extent, n=n)
     dx = extent / n
     return Grid((n,), (dx,), (center - dx * (n // 2),))
 
@@ -131,11 +135,11 @@ class ComplexField:
     def __post_init__(self):
         if self.representation not in (POSITION, MOMENTUM):
             raise RepresentationError(f"unknown representation {self.representation!r}")
+        finite(time_label=self.time_label)
         v = np.array(self.values, dtype=complex)
         if v.shape != tuple(self.grid.n):
             raise ShapeError(f"values shape {v.shape} does not match grid {self.grid.n}")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        _freeze(self, values=v)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume))
@@ -173,6 +177,8 @@ class ComplexField:
         """Max boundary density over max density (0 for an empty shell)."""
         dens = self.density()
         peak = dens.max()
+        # NaN or inf anywhere in the field makes the peak NaN or inf
+        finite(**{"field density": peak})
         if peak == 0.0:
             return 0.0
         edge = 0.0
@@ -258,13 +264,9 @@ class GaussianPacketSpec:
         p0 = np.array(self.p0, dtype=float, ndmin=1)
         sp = np.broadcast_to(np.asarray(self.sigma_p, dtype=float), p0.shape).copy()
         r0 = np.broadcast_to(np.asarray(self.r0, dtype=float), p0.shape).copy()
-        if not np.all(sp > 0):
-            raise DomainError("sigma_p must be positive")
-        for a in (p0, sp, r0):
-            a.setflags(write=False)
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "sigma_p", sp)
-        object.__setattr__(self, "r0", r0)
+        positive(sigma_p=sp)
+        finite(p0=p0, r0=r0)
+        _freeze(self, p0=p0, sigma_p=sp, r0=r0)
 
     @property
     def sigma_x(self) -> np.ndarray:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import van_vleck_time
-from .core import HBAR, ComplexField, Grid, _fill_rows, _row_patterns, _write_rows
-from .errors import DomainError, ShapeError
-from .propagate import _it_map, interpolate_field, it_field_uniform
+from .core import HBAR, ComplexField, Grid, _fill_rows, _freeze, _row_patterns, _write_rows
+from .errors import DomainError, ShapeError, finite, nonnegative, positive
+from .propagate import _it_map, _weights, interpolate_field, it_field_uniform
 
 MACROSCOPIC_RADIUS = 1e3
 FAR_FIELD_RATIO = 10.0
@@ -38,18 +38,18 @@ class DetectorPatch:
     position: np.ndarray
     solid_angle: float
     radial_extent: float
-    arrival_time: float
 
     def __post_init__(self):
         r = np.array(self.position, dtype=float, ndmin=1)
-        r.setflags(write=False)
-        object.__setattr__(self, "position", r)
-        if not MACROSCOPIC_RADIUS < np.linalg.norm(r) < math.inf:
+        _freeze(self, position=r)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused here
+            R = np.linalg.norm(r)
+        finite(**{"|position|": R})
+        if not R > MACROSCOPIC_RADIUS:
             raise DomainError(
                 f"detector must sit beyond {MACROSCOPIC_RADIUS:g} a.u. from the reaction volume"
             )
-        if not (0 < self.solid_angle < math.inf and 0 < self.radial_extent < math.inf):
-            raise DomainError("solid angle and radial extent must be positive and finite")
+        positive(solid_angle=self.solid_angle, radial_extent=self.radial_extent)
 
     @property
     def volume(self) -> float:
@@ -68,15 +68,14 @@ class ITResult:
 
     def __post_init__(self):
         p = np.array(self.momentum_point, dtype=float, ndmin=1)
-        p.setflags(write=False)
-        object.__setattr__(self, "momentum_point", p)
-        if self.vv_factor <= 0:
-            raise DomainError("vv_factor must be positive")
+        nonnegative(position_density=self.position_density)
+        positive(vv_factor=self.vv_factor)
+        finite(momentum_point=p, phase=self.phase)
+        _freeze(self, momentum_point=p)
 
 
 def _estimate_sigma_p(momentum_field: ComplexField) -> float:
-    dens = momentum_field.density()
-    w = dens / dens.sum()
+    w = _weights(momentum_field)
     axes = momentum_field.grid.meshgrid()
     var = 0.0
     for a in axes:
@@ -104,10 +103,9 @@ def apply_it_free(momentum_field: ComplexField, m: float, t: float, r_grid: Grid
 
 def it_density(momentum_density, vv_factor):
     """Position density as trajectory density times momentum density."""
-    c = np.asarray(vv_factor, dtype=float)
-    if np.any(c <= 0):
-        raise DomainError("vv_factor must be positive")
-    return c * np.asarray(momentum_density, dtype=float)
+    positive(vv_factor=vv_factor)
+    nonnegative(momentum_density=momentum_density)
+    return np.asarray(vv_factor, dtype=float) * np.asarray(momentum_density, dtype=float)
 
 
 def it_point(momentum_field: ComplexField, m: float, t: float, r) -> ITResult:
@@ -133,11 +131,10 @@ def momentum_density_from_hits(position_density, r, t: float, m: float,
     For vector input ``r`` is the radial distance; the factor (r/p')^d is
     just (t/m)^d, so the inversion needs no angular information.
     """
-    if not (0 < t < math.inf and 0 < m < math.inf):
-        raise DomainError("t and m must be positive and finite")
-    if not np.all(np.asarray(r, dtype=float) > 0):
-        raise DomainError("r must be positive")
-    return np.asarray(position_density, dtype=float) * (t / m) ** dimension
+    dens = np.asarray(position_density, dtype=float)
+    positive(t=t, m=m, r=np.asarray(r, dtype=float), dimension=dimension)
+    nonnegative(position_density=dens)
+    return dens * (t / m) ** dimension
 
 
 def many_particle_it(momentum_field: ComplexField, masses, times, positions) -> float:
@@ -154,8 +151,8 @@ def many_particle_it(momentum_field: ComplexField, masses, times, positions) -> 
     n = len(masses)
     if len(times) != n or pos.shape[0] != n:
         raise ShapeError("need one time and one position per particle")
-    if not np.all((0 < masses) & (masses < math.inf) & (0 < times) & (times < math.inf)):
-        raise DomainError("masses and times must be positive and finite")
+    positive(masses=masses, times=times)
+    finite(positions=pos)
     d = pos.shape[1]
     if momentum_field.grid.dimension != n * d:
         raise ShapeError(
@@ -174,9 +171,9 @@ def incident_amplitude(collimator_field: ComplexField, m: float, t_i: float, r_i
 
     so that |A_i|^2 is the incident probability density at the reaction volume.
     """
-    if not (0 < m < math.inf and 0 < t_i < math.inf):
-        raise DomainError("m and t_i must be positive and finite")
+    positive(m=m, t_i=t_i)
     r_i = np.atleast_1d(np.asarray(r_i, dtype=float))
+    finite(r_i=r_i)
     d = collimator_field.grid.dimension
     if len(r_i) != d:
         raise ShapeError(f"r_i has {len(r_i)} coordinates, the collimator field {d} axes")
@@ -192,11 +189,8 @@ def incident_density(collimator_field: ComplexField, m: float, t_i: float, r_i) 
 
 def chained_density(final_it_density, incident_density_value: float):
     """Counting-rate density: imaging-map density scaled by the incident flux."""
-    if not 0 <= incident_density_value < math.inf:
-        raise DomainError("incident density must be nonnegative and finite")
     dens = np.asarray(final_it_density, dtype=float)
-    if not np.all(dens >= 0):
-        raise DomainError("densities must be nonnegative")
+    nonnegative(final_it_density=dens, incident_density_value=incident_density_value)
     return dens * incident_density_value
 
 

@@ -12,7 +12,6 @@ integral that produces the asymptotic wave function.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +28,22 @@ from .core import (
     ComplexField,
     Grid,
     UniformField,
+    _freeze,
     check_boundary,
     to_momentum,
     to_position,
 )
 from .errors import (
     CausticError,
+    DegenerateInputError,
     DomainError,
     RepresentationError,
     ShapeError,
     StabilityError,
     SupportError,
+    finite,
+    nonnegative,
+    positive,
 )
 
 MAX_KICK_PHASE = 0.1
@@ -57,16 +61,14 @@ class EvolutionSpec:
     potential: np.ndarray | None = None
 
     def __post_init__(self):
-        if not -math.inf < self.t_start < self.t_end < math.inf:
-            raise DomainError("t_end must exceed t_start, both finite")
-        if self.n_steps < 1:
-            raise DomainError("need at least one step")
-        if not 0 < self.mass < math.inf:
-            raise DomainError("mass must be positive and finite")
+        if not isinstance(self.n_steps, (int, np.integer)):
+            raise DomainError(f"n_steps must be an integer, got {self.n_steps!r}")
+        positive(**{"t_end - t_start": self.t_end - self.t_start}, n_steps=self.n_steps,
+                 mass=self.mass)
         if self.potential is not None:
             v = np.array(self.potential, dtype=float)
-            v.setflags(write=False)
-            object.__setattr__(self, "potential", v)
+            finite(potential=v)
+            _freeze(self, potential=v)
 
     @property
     def dt(self) -> float:
@@ -79,8 +81,8 @@ def evolve_free_exact(field: ComplexField, m: float, T: float) -> ComplexField:
     Accepts either representation and returns the same one.  Unitary by
     construction.
     """
-    if not (0 < m < math.inf and 0 <= T < math.inf):
-        raise DomainError("m must be positive and T nonnegative, both finite")
+    positive(m=m)
+    nonnegative(T=T)
     if field.representation == MOMENTUM:
         p2 = _p_squared(field.grid)
         out = field.values * np.exp(-1j * p2 * T / (2.0 * m * HBAR))
@@ -158,7 +160,7 @@ def evolve_split_operator(field: ComplexField, spec: EvolutionSpec) -> ComplexFi
         vals *= full_kick if step + 1 < n_steps else last_kick
     out = field.with_values(vals, field.time_label + (spec.t_end - spec.t_start))
     check_boundary(out, "evolve_split_operator output")
-    if abs(out.norm() - norm_in) > 1e-9 * max(norm_in, 1.0):
+    if not abs(out.norm() - norm_in) <= 1e-9 * max(norm_in, 1.0):
         raise StabilityError("norm drifted during split-operator evolution")
     return out
 
@@ -170,19 +172,14 @@ def kernel_mixed_semiclassical(r, p, t: float, tau: float, m: float, F=None) -> 
     so the modulus equals the plane-wave normalization; exact (not merely
     semiclassical) in both cases.
     """
-    T = t - tau
-    if not 0 <= T < math.inf:
-        raise DomainError("t must not precede tau, and t - tau must be finite")
     d = len(np.atleast_1d(r))
-    s = action_S_tilde_uniform(r, p, T, m, F)
+    s = action_S_tilde_uniform(r, p, t - tau, m, F)
     return (2.0 * np.pi * HBAR) ** (-d / 2.0) * np.exp(1j * s / HBAR)
 
 
 def kernel_position_semiclassical(r, r_prime, t: float, tau: float, m: float, F=None) -> complex:
     """Position-space kernel [m/(2 pi i hbar T)]^{d/2} e^{i S / hbar}."""
     T = t - tau
-    if not 0 < T < math.inf:
-        raise DomainError("t must exceed tau, and t - tau must be finite")
     d = len(np.atleast_1d(r))
     s = action_S_uniform(r, r_prime, T, m, F)
     pref = (m / (2.0 * np.pi * 1j * HBAR * T)) ** (d / 2.0)
@@ -200,6 +197,7 @@ def interpolate_field(field: ComplexField, points: np.ndarray,
     given (useful when the field has decayed to zero at its edges).
     """
     points = np.asarray(points, dtype=float)
+    finite(points=points, fill=fill)
     grid = field.grid
     d = grid.dimension
     if points.shape[-1:] != (d,):
@@ -212,6 +210,14 @@ def interpolate_field(field: ComplexField, points: np.ndarray,
     out = field._spline(q[..., 0]) if d == 1 else field._spline(q)
     # without a fill every point is inside; np.where with None would give objects
     return out if fill is None else np.where(inside, out, fill)
+
+
+def _weights(field: ComplexField) -> np.ndarray:
+    """The field's density normalized to unit sum."""
+    dens = field.density()
+    if not dens.any():
+        raise DegenerateInputError("an all-zero field has no density to weight by")
+    return dens / dens.sum()
 
 
 def _stationary_point(action, r, T: float, grid: Grid, p_init: np.ndarray):
@@ -256,15 +262,13 @@ def spa_integrate(momentum_field: ComplexField, action, r, t: float, tau: float)
     if momentum_field.representation != MOMENTUM:
         raise RepresentationError("spa_integrate expects a momentum-representation field")
     T = t - tau
-    if T <= 0:
-        raise DomainError("t must exceed tau")
+    positive(**{"t - tau": T})
     grid = momentum_field.grid
     r = np.atleast_1d(np.asarray(r, dtype=float))
+    finite(r=r)
     # start Newton from the density-weighted mean momentum
-    dens = momentum_field.density()
-    w = dens / dens.sum()
-    axes = grid.meshgrid()
-    p_init = np.array([float(np.sum(w * a)) for a in axes])
+    w = _weights(momentum_field)
+    p_init = np.array([float(np.sum(w * a)) for a in grid.meshgrid()])
     p_star, hess = _stationary_point(action, r, T, grid, p_init)
     phi = complex(interpolate_field(momentum_field, p_star.reshape(1, -1))[0])
     eigs = np.linalg.eigvalsh(hess)
@@ -285,8 +289,6 @@ def _it_map(momentum_field: ComplexField, r: np.ndarray, t: float, tau: float,
     if momentum_field.representation != MOMENTUM:
         raise RepresentationError("expected a momentum-representation field")
     T = t - tau
-    if not (0 < m < math.inf and 0 < T < math.inf):
-        raise DomainError("m and t - tau must be positive and finite")
     d = momentum_field.grid.dimension
     if r.shape[-1] != d:
         raise ShapeError(f"points have {r.shape[-1]} coordinates, the momentum grid {d} axes")

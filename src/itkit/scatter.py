@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import hankel_h1
-from .core import HBAR, _write_csv
-from .errors import CausticError, CoverageError, DegenerateInputError, DomainError, SingularityError
+from .classical import _distance
+from .core import HBAR, _freeze, _write_csv
+from .errors import (CausticError, CoverageError, DegenerateInputError, DomainError,
+                     SingularityError, finite, nonnegative, positive)
 
 TWO_PI = 2.0 * math.pi
 BORN_POINTS = 64  # trapezoid points per axis of the first-order amplitude's cube
@@ -29,9 +31,8 @@ BORN_POINTS = 64  # trapezoid points per axis of the first-order amplitude's cub
 
 def green_free(r, r_prime, E: float, m: float = 1.0) -> complex:
     """Exact free Green function -(m / 2 pi hbar^2) e^{i p' R / hbar} / R."""
-    if E <= 0:
-        raise DomainError("E must be positive")
-    R = float(np.linalg.norm(np.atleast_1d(r) - np.atleast_1d(np.asarray(r_prime, dtype=float))))
+    positive(E=E, m=m)
+    R = _distance(r, r_prime)
     if R == 0.0:
         raise SingularityError("coincident points")
     p = math.sqrt(2.0 * m * E)
@@ -46,6 +47,7 @@ def green_semiclassical(W: float, D: float) -> complex:
     With the free-motion W = p'R and D = m^2/R^2 this is the exact free
     Green function.
     """
+    finite(W=W, D=D)
     if D <= 0:
         raise CausticError("trajectory density must be positive")
     return (1.0 / (1j * HBAR)) * (math.sqrt(D) / (TWO_PI * 1j * HBAR)) * np.exp(1j * W / HBAR)
@@ -53,19 +55,18 @@ def green_semiclassical(W: float, D: float) -> complex:
 
 def ti_it_density(momentum_density: float, p_prime: float, R: float) -> float:
     """Fixed-energy imaging map: |Psi(r,E)|^2 = (p'/R)^3 |Phi(p',E)|^2."""
-    if R <= 0 or p_prime <= 0:
-        raise DomainError("p' and R must be positive")
-    if momentum_density < 0:
-        raise DomainError("density must be nonnegative")
+    positive(p_prime=p_prime, R=R)
+    nonnegative(momentum_density=momentum_density)
     return (p_prime / R) ** 3 * momentum_density
 
 
 def amplitude_from_momentum_wfn(momentum_density: float, m: float, dT_dE: float) -> float:
     """|f|^2 = m^2 |dT/dE|^{-1} |Phi(p',E)|^2."""
+    positive(m=m)
+    nonnegative(momentum_density=momentum_density)
+    finite(dT_dE=dT_dE)
     if dT_dE == 0.0:
         raise DegenerateInputError("dT/dE must be nonzero")
-    if momentum_density < 0:
-        raise DomainError("density must be nonnegative")
     return m * m / abs(dT_dE) * momentum_density
 
 
@@ -79,8 +80,10 @@ def born_amplitude(potential, p_in, p_out, m: float = 1.0,
     equal |p_out| (elastic kinematics).  ``p_out`` of shape (3,) gives one
     amplitude; (k, 3) gives k amplitudes from one sampling of V.
     """
+    positive(m=m, extent=extent)
     p_in = np.atleast_1d(np.asarray(p_in, dtype=float))
     p_out = np.asarray(p_out, dtype=float)
+    finite(p_in=p_in, p_out=p_out)
     p_mag = np.linalg.norm(p_in)
     if np.any(np.abs(p_mag - np.linalg.norm(p_out, axis=-1)) > 1e-10 * max(1.0, p_mag)):
         raise DomainError("elastic kinematics require |p_in| = |p_out|")
@@ -108,14 +111,15 @@ def born_amplitude(potential, p_in, p_out, m: float = 1.0,
 
 def cross_section(f) -> float | np.ndarray:
     """Differential cross section d sigma / d Omega = |f|^2, elementwise for an array."""
+    finite(f=f)
     return np.abs(f) ** 2
 
 
 def detection_probability_ti(f: complex, incident_density: float, p_in: float,
                              m: float, dt: float, d_omega: float) -> float:
     """dP = incident_density (p_in/m) dt |f|^2 dOmega."""
-    if min(incident_density, p_in, dt, d_omega) < 0:
-        raise DomainError("inputs must be nonnegative")
+    nonnegative(incident_density=incident_density, p_in=p_in, dt=dt, d_omega=d_omega)
+    positive(m=m)
     return incident_density * (p_in / m) * dt * cross_section(f) * d_omega
 
 
@@ -136,12 +140,8 @@ class HyperConfig:
 
     def __post_init__(self):
         m = np.array(self.masses, dtype=float, ndmin=1)
-        if not (np.all((m > 0) & (m < np.inf)) and 0 < self.mu < math.inf):
-            raise DomainError("masses and mu must be positive and finite")
-        if not 0 < self.energy < math.inf:
-            raise DomainError("E must be positive and finite")
-        m.setflags(write=False)
-        object.__setattr__(self, "masses", m)
+        positive(masses=m, mu=self.mu, energy=self.energy)
+        _freeze(self, masses=m)
 
     @property
     def n_particles(self) -> int:
@@ -181,24 +181,22 @@ def characteristic_time_N(masses, displacements, E: float) -> float:
 
     Equals dW/dE of the hyper-action and reduces to m R / p' at N = 1.
     """
-    if E <= 0:
-        raise DomainError("E must be positive")
     m = np.atleast_1d(np.asarray(masses, dtype=float))
     R = np.atleast_1d(np.asarray(displacements, dtype=float))
+    positive(E=E, masses=m)
+    finite(displacements=R)
     return math.sqrt(float(np.sum(m * R ** 2)) / (2.0 * E))
 
 
 def hyper_action(config: HyperConfig, separation: float) -> float:
     """W = P |R_hyp - R_hyp'| along the straight hyperradial path."""
-    if separation < 0:
-        raise DomainError("separation must be nonnegative")
+    nonnegative(separation=separation)
     return config.hyper_momentum * separation
 
 
 def vv_hyper(config: HyperConfig, separation: float) -> float:
     """Van Vleck factor eta (P / dR)^{3N} = eta (mu / T)^{3N}."""
-    if separation <= 0:
-        raise DomainError("separation must be positive")
+    positive(separation=separation)
     return config.eta * (config.hyper_momentum / separation) ** (3 * config.n_particles)
 
 
@@ -207,7 +205,8 @@ def density_D_N(config: HyperConfig, separation: float) -> float:
 
     Reduces to m^2 / R^2 at N = 1, mu = m.
     """
-    if separation <= 0:
+    nonnegative(separation=separation)
+    if separation == 0.0:
         raise SingularityError("coincident hyper-positions")
     n = config.n_particles
     return config.eta * config.mu ** 2 / separation ** 2 \
@@ -222,10 +221,6 @@ def green_hyper_asymptotic(config: HyperConfig, separation: float) -> complex:
     valid for separations large on the de Broglie scale.  At N = 1, mu = m
     this is the exact free Green function.
     """
-    if not math.isfinite(separation):
-        raise DomainError(f"separation must be finite, got {separation}")
-    if separation <= 0:
-        raise SingularityError("coincident hyper-positions")
     n = config.n_particles
     D = density_D_N(config, separation)
     W = hyper_action(config, separation)
@@ -242,9 +237,8 @@ def green_hyper_hankel(config: HyperConfig, separation: float) -> complex:
     equal to the stationary-phase form in the large-argument limit; at
     N = 1, mu = m it reproduces green_free.
     """
-    if not math.isfinite(separation):
-        raise DomainError(f"separation must be finite, got {separation}")
-    if separation <= 0:
+    nonnegative(separation=separation)
+    if separation == 0.0:
         raise SingularityError("coincident hyper-positions")
     P = config.hyper_momentum
     a = config.alpha
@@ -259,6 +253,7 @@ def n_particle_amplitude(matrix_element: complex, config: HyperConfig) -> comple
 
     At N = 1 the prefactor collapses to -sqrt(2 pi / hbar) m.
     """
+    finite(matrix_element=matrix_element)
     n = config.n_particles
     P = config.hyper_momentum
     return -math.sqrt(TWO_PI / HBAR) * config.mu \

@@ -14,7 +14,13 @@ from itkit.core import (
     to_momentum,
     to_position,
 )
-from itkit.errors import CoverageError, DomainError, RepresentationError, ShapeError
+from itkit.errors import (
+    CoverageError,
+    DegenerateInputError,
+    DomainError,
+    RepresentationError,
+    ShapeError,
+)
 from itkit.imaging import (
     DetectorPatch,
     apply_it_free,
@@ -53,6 +59,13 @@ class TestApplyItFree:
         idx = int(np.argmax(d_e))
         assert abs(d_a[idx] - peak) / peak < 1e-4
         assert abs(d_a[idx] - peak) / peak == pytest.approx(3.2e-5, rel=0.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_all_zero_field_is_degenerate(self):
+        # the width estimate divided 0 by 0: a bare RuntimeWarning
+        phi = momentum_packet()
+        with pytest.raises(DegenerateInputError):
+            apply_it_free(phi.with_values(np.zeros(phi.grid.n)), 1.0, 1000.0, phi.grid.conjugate())
 
     def test_output_normalized(self):
         phi = momentum_packet()
@@ -161,18 +174,18 @@ class TestDetectionProbability:
 
     def test_uniform_density_times_volume(self):
         field = self.make_field()
-        patch = DetectorPatch([2000.0], 1e-4, 0.5, 100.0)
+        patch = DetectorPatch([2000.0], 1e-4, 0.5)
         expected = abs(1e-6) ** 2 * 2000.0 ** 2 * 1e-4 * 0.5
         assert detection_probability(field, patch) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_at_node(self):
         field = self.make_field(0.0 + 0j)
-        patch = DetectorPatch([2000.0], 1e-4, 0.5, 100.0)
+        patch = DetectorPatch([2000.0], 1e-4, 0.5)
         assert detection_probability(field, patch) == 0.0
 
     def test_patch_outside_grid(self):
         field = self.make_field()
-        patch = DetectorPatch([5000.0], 1e-4, 0.5, 100.0)
+        patch = DetectorPatch([5000.0], 1e-4, 0.5)
         with pytest.raises(CoverageError):
             detection_probability(field, patch)
 
@@ -182,38 +195,39 @@ class TestDetectionProbability:
         grid = Grid((16, 16), (500.0, 500.0), (-4000.0, -4000.0))
         field = ComplexField(grid, POSITION, np.ones((16, 16), dtype=complex), 100.0)
         with pytest.raises(CoverageError):
-            detection_probability(field, DetectorPatch(position, 1e-4, 0.5, 100.0))
+            detection_probability(field, DetectorPatch(position, 1e-4, 0.5))
 
     def test_patch_with_more_coordinates_than_field_refused(self):
         # not answered from x = 2000 alone with the 3-D patch volume
         field = self.make_field()
-        patch = DetectorPatch([2000.0, 5000.0, -7000.0], 0.01, 1.0, 100.0)
+        patch = DetectorPatch([2000.0, 5000.0, -7000.0], 0.01, 1.0)
         with pytest.raises(ShapeError):
             detection_probability(field, patch)
 
     def test_patch_with_fewer_coordinates_than_field_refused(self):
         grid = Grid((16, 16, 16), (500.0,) * 3, (-4000.0,) * 3)
         field = ComplexField(grid, POSITION, np.ones((16,) * 3, dtype=complex), 100.0)
-        patch = DetectorPatch([2000.0], 1e-4, 0.5, 100.0)
+        patch = DetectorPatch([2000.0], 1e-4, 0.5)
         with pytest.raises(ShapeError):
             detection_probability(field, patch)
 
     def test_patch_must_be_macroscopic(self):
         with pytest.raises(DomainError):
-            DetectorPatch([500.0], 1e-4, 0.5, 100.0)
+            DetectorPatch([500.0], 1e-4, 0.5)
 
     @pytest.mark.parametrize("args", [
         ([math.nan, 0.0, 0.0], 1.0, 1.0),
         ([2000.0], math.nan, 0.5),
         ([2000.0], 1e-4, math.nan),
+        ([1e200, 1e200, 0.0], 1e-4, 0.5),
     ])
     def test_rejects_nan_patch(self, args):
-        # each would build with a NaN volume
+        # each would build with a NaN or infinite volume
         with pytest.raises(DomainError):
-            DetectorPatch(*args, 5.0)
+            DetectorPatch(*args)
 
     def test_patch_volume(self):
-        patch = DetectorPatch([2000.0], 1e-4, 0.5, 100.0)
+        patch = DetectorPatch([2000.0], 1e-4, 0.5)
         assert patch.volume == pytest.approx(2000.0 ** 2 * 1e-4 * 0.5)
 
 
@@ -416,7 +430,7 @@ class TestSplineKeptPerField:
             "it_point": lambda x: it_point(phi, 1.0, 1000.0, [1000.0 * x]),
             "incident_amplitude": lambda x: incident_amplitude(phi, 1.0, 1000.0, [-1000.0 * x]),
             "detection_probability": lambda x: detection_probability(
-                position, DetectorPatch([2000.0 * x], 1e-4, 0.5, 100.0)),
+                position, DetectorPatch([2000.0 * x], 1e-4, 0.5)),
         }
         for x in np.linspace(0.95, 1.05, 8):
             calls[name](x)

@@ -17,7 +17,9 @@ from itkit.core import (
     to_position,
 )
 from itkit.errors import (
+    AliasingError,
     CausticError,
+    DegenerateInputError,
     DomainError,
     RepresentationError,
     ShapeError,
@@ -100,7 +102,32 @@ class TestFreeExact:
             evolve_free_exact(psi, m, T)
 
 
+@pytest.mark.parametrize("evolve", [
+    to_momentum,
+    lambda psi: evolve_free_exact(psi, 1.0, 1.0),
+    lambda psi: evolve_split_operator(psi, EvolutionSpec(1.0, 0.0, 1.0, 10)),
+], ids=["to_momentum", "evolve_free_exact", "evolve_split_operator"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_field_is_refused_not_aliased(evolve, bad):
+    # NaN and inf both slipped past the boundary-density ratio and came back all-NaN
+    _, psi = packet(n=512, extent=60.0, sigma_p=1.0)
+    values = psi.values.copy()
+    values[256] = bad
+    with pytest.raises(DomainError, match="field density must be finite") as caught:
+        evolve(psi.with_values(values))
+    assert not isinstance(caught.value, AliasingError)
+
+
 class TestSplitOperator:
+    @pytest.mark.parametrize("n_steps", [1.5, 2.0, math.nan, "10"])
+    def test_spec_rejects_non_integer_steps(self, n_steps):
+        # 1.5 used to construct and fail later in range() with a TypeError
+        with pytest.raises(DomainError, match="n_steps must be an integer"):
+            EvolutionSpec(1.0, 0.0, 1.0, n_steps)
+
+    def test_spec_accepts_numpy_integer_steps(self):
+        assert EvolutionSpec(1.0, 0.0, 1.0, np.int64(3)).dt == pytest.approx(1.0 / 3.0)
+
     @pytest.mark.parametrize("mass, t_start, t_end", [
         (1.0, 0.0, 0.0), (math.nan, 0.0, 1.0), (0.0, 0.0, 1.0), (math.inf, 0.0, 1.0),
         (1.0, 0.0, math.nan), (1.0, 0.0, math.inf), (1.0, math.nan, 1.0), (1.0, -math.inf, 1.0),
@@ -325,6 +352,13 @@ class TestSpa:
         _, psi = packet()
         with pytest.raises(RepresentationError):
             spa_integrate(psi, lambda p, r, T: 0.0, [0.0], 10.0, 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_all_zero_field_is_degenerate(self):
+        # the density weights were 0/0, a RuntimeWarning and NaN
+        phi = ComplexField(centered_grid_1d(4.0, 256, 0.0), MOMENTUM, np.zeros(256))
+        with pytest.raises(DegenerateInputError):
+            spa_integrate(phi, lambda p, r, T: float(p[0] * r[0]), [1.0], 10.0, 0.0)
 
 
 class TestUniformFieldMap:

@@ -40,7 +40,7 @@ CASES = {
     "Trajectory.r_end": ([1.0], lambda a: _trajectory(r_end=a), "r_end"),
     "Trajectory.p_end": ([1.0], lambda a: _trajectory(p_end=a), "p_end"),
     "DetectorPatch.position": (
-        [2000.0, 0.0, 0.0], lambda a: DetectorPatch(a, 0.01, 1.0, 100.0), "position"),
+        [2000.0, 0.0, 0.0], lambda a: DetectorPatch(a, 0.01, 1.0), "position"),
     "ITResult.momentum_point": ([1.0, 2.0], lambda a: ITResult(0.5, a, 1.0, 0.0), "momentum_point"),
     "EvolutionSpec.potential": (
         [0.0, 0.1, 0.0], lambda a: EvolutionSpec(1.0, 0.0, 1.0, 10, potential=a), "potential"),
