@@ -98,9 +98,23 @@ class CoincidenceDataset:
 
 
 def characteristic_time(m: float, r: float, E: float) -> float:
-    """Natural delay scale t = sqrt(m r^2 / E)."""
+    """Natural delay scale t = sqrt(m r^2 / E).
+
+    It is evaluated on the frexp mantissas with the binary exponents kept
+    apart, so m r^2 / E neither leaves the float range nor loses bits as a
+    subnormal when t itself is representable; elsewhere the bits are those
+    of the plain formula (*, / and sqrt are correctly rounded, and scaling by
+    a power of two is exact).  A t beyond the float range is a DomainError.
+    """
     positive(m=m, r=r, E=E)
-    return math.sqrt(m * r * r / E)
+    (mm, a), (rr, b), (ee, c) = math.frexp(m), math.frexp(r), math.frexp(E)
+    k = a + 2 * b - c
+    try:
+        t = math.ldexp(math.sqrt(math.ldexp(mm * rr * rr / ee, k % 2)), k // 2)
+    except OverflowError:
+        t = math.inf
+    positive(characteristic_time=t)
+    return t
 
 
 def invert_delays_pair(tau, m: float = 1.0, E: float = 1.0):

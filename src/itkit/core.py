@@ -9,8 +9,9 @@ multiplication in the momentum representation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -314,35 +315,198 @@ def sample_gaussian(spec: GaussianPacketSpec, grid: Grid, representation: str = 
 # ---------------------------------------------------------------------------
 # serialization
 
-# rows per ``%`` operation: bounds the text a writer holds in memory at once
+# rows per block: bounds the text, and the kernel's temporaries, a writer holds at once
 _CSV_BLOCK_ROWS = 4096
+# least values in a block written by _format_g17.  The kernel already beats ``%``
+# from about 250 values (1.8x at 121 rows x 4); 512 keeps the coincidence (484
+# values) and scattering files on the ``%`` path they were benchmarked on, so
+# lowering it is a change to measure on those workloads
+_G17_MIN_VALUES = 512
+
+_E_MIN = -1073  # frexp exponent of the least subnormal, 2**-1074
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for float64
 
 
-def _row_patterns(line: str, n_rows: int) -> list[str]:
-    """One ``%`` pattern per block of rows: ``line`` repeated once per row."""
-    full, rest = divmod(n_rows, _CSV_BLOCK_ROWS)
-    return [line * _CSV_BLOCK_ROWS] * full + ([line * rest] if rest else [])
+def _pow10(K: int, power: int) -> tuple[float, float, int]:
+    """10**K as (hi + lo) * 2**b, hi + lo in [0.5, 1] and exact to 2**-105.
 
-
-def _fill_rows(patterns: list[str], columns):
-    """Yield each block's pattern filled with that block's rows of ``columns``.
-
-    Each block is formatted by one ``%``.  A ``%%.17g`` slot in a pattern
-    takes no value and comes out as ``%.17g``, a slot left open for a later
-    fill with another column.
+    ``power`` is 10**|K|.
     """
-    for pattern, start in zip(patterns, range(0, len(columns[0]), _CSV_BLOCK_ROWS)):
-        block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
-        yield pattern % tuple(block.ravel().tolist())
+    if K >= 0:
+        b = power.bit_length()
+        t = power << (112 - b) if b <= 112 else (power + (1 << (b - 113))) >> (b - 112)
+    else:
+        b = 1 - power.bit_length()
+        t = ((1 << (113 - b)) + power) // (2 * power)
+    # t = round(10**K * 2**(112 - b)): 112 bits, split into two float64
+    hi = float(t)
+    return math.ldexp(hi, -112), math.ldexp(float(t - int(hi)), -112), b
 
 
-def _write_rows(path, header: str, blocks, comment: str | None = None) -> None:
-    """Write the text ``blocks`` under the header and an optional ``# comment`` line."""
-    with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(header + "\n")
-        fh.writelines(blocks)
+@cache
+def _g17_scales():
+    """Scales that bring any finite nonzero float64 to 17 integer digits.
+
+    For frexp exponent e, 2**(e-1) <= |x| < 2**e lies in [10**k, 10**(k+2)),
+    k = floor((e - 1) log10 2), and |x| >= 10**(k+1) exactly when |x| >=
+    ``thr[e - E_MIN]``, the least float64 >= 10**(k+1).  Row 2(e - E_MIN) + s,
+    s in {0, 1}, of the other arrays holds the decimal exponent X = k + s and
+    10**(16-X) * 2**e as hi + lo, hi = hh + hl split by Veltkamp, so that the
+    frexp mantissa times hi + lo is |x| * 10**(16-X), in [10**16, 10**17).
+    """
+    e = np.arange(_E_MIN, 1025)
+    k = ((e - 1) * 78913) >> 18  # floor((e - 1) log10 2) over this range of e
+    tens = [1]
+    for _ in range(340):
+        tens.append(10 * tens[-1])
+    thr = []
+    for K in range(int(k[0]) + 1, int(k[-1]) + 2):
+        power = tens[abs(K)]
+        t = float(power) if K >= 0 else 1 / power  # both correctly rounded
+        n, d = t.as_integer_ratio()
+        thr.append(math.nextafter(t, math.inf) if (n < power if K >= 0 else n * power < d) else t)
+    X = np.stack([k, k + 1], axis=1).ravel()
+    K0 = 15 - int(X[-1])
+    hi, lo, b = map(np.array, zip(*(_pow10(K, tens[abs(K)]) for K in range(K0, 17 - int(X[0])))))
+    row = 16 - X - K0
+    b = b[row] + np.repeat(e, 2)
+    hi, lo = np.ldexp(hi[row], b), np.ldexp(lo[row], b)  # exact: both stay normal
+    c = _SPLIT * hi
+    hh = c - (c - hi)
+    return _read_only(np.array(thr)[k - k[0]], X.astype(np.int32), hi, lo, hh, hi - hh)
+
+
+def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``tables``, made read-only: the cached tables are shared by every call."""
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _words(texts) -> np.ndarray:
+    """Each of ``texts`` (at most 8 bytes), NUL-padded, as a little-endian 64-bit word."""
+    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), "<u8")
+
+
+@cache
+def _g17_text():
+    """Lookup tables of the 32 bytes (four little-endian words) of one value.
+
+    Bytes 0-5 hold the sign and a lead "0.000", byte 6 is a pad, bytes 7-23
+    the digits d0..d16, bytes 24-31 the exponent and the separator.  The
+    masks are indexed by 18 (p + 1) + c for the point after digit p (p = -1:
+    the point is in the lead) and the last byte kept, 6 + c: bytes 6..6+p
+    take the digit to their right (the pad makes room), byte 7 + p takes the
+    point, bytes from 8 + p keep their digit, bytes after 6 + c are cleared.
+    """
+    i = np.arange(10000)
+    quads = np.zeros(10000, "<u8")  # "%04d" % i, first digit in the lowest byte
+    for byte, place in enumerate((1000, 100, 10, 1)):
+        quads |= (48 + i // place % 10).astype("<u8") << np.uint64(8 * byte)
+    trailing = sum(i % (10 * place) == 0 for place in (1, 10, 100, 1000))  # 4 for 0000
+    first = _words(b"\0" * 7 + b"%d" % d for d in range(10))
+    sign_lead = _words(s + b"0.000"[:n] for s in (b"", b"-") for n in range(6))
+    exponents = [b""] + [b"e%+03d" % x for x in range(-324, 309)]
+    exp_sep = _words(x + s for s in (b",", b"\n") for x in exponents)
+    byte = np.arange(24)
+    p = np.arange(-1, 17)[:, None, None]
+    kept = byte <= 6 + np.arange(18)[:, None]
+    low = (6 <= byte) & (byte <= 6 + p)  # d0..dp, one byte to the left
+    point = (p >= 0) & (byte == 7 + p)
+    high = byte >= np.where(p >= 0, 8 + p, 7)  # the digits after the point, in place
+
+    def words(mask, fill):  # (18, 18, 24) bytes as (3, 18 * 18) little-endian words
+        return np.where(mask & kept, fill, 0).astype(np.uint8).view("<u8").reshape(-1, 3).T.copy()
+
+    shift, dot, keep = words(low, 0xFF), words(point, 0x2E), words(high, 0xFF)
+    return _read_only(quads, trailing, first, sign_lead, exp_sep, shift, keep, dot)
+
+
+def _format_g17(values: np.ndarray, n_cols: int) -> str:
+    """Rows of ``n_cols`` float64 ``values``, each value exactly as ``'%.17g' % v``.
+
+    Each |x| = m * 2**e is scaled by the double-double 10**(16-X) * 2**e
+    (:func:`_g17_scales`) with Dekker's exact two-product, which gives
+    y = |x| * 10**(16-X) in [10**16, 10**17) as p + q to within 1e-14 (the
+    table is exact to 2**-105; 2e-15 is the largest error seen).  The 17
+    digits are y rounded to an integer; the text is laid out in a fixed
+    32-byte slot per value from lookup tables (:func:`_g17_text`), and the
+    unused bytes, NUL, are deleted.  A value goes back to ``'%.17g' %`` when it
+    is not finite, or when the fraction of y is within 1e-9 of 1/2, which
+    the error bound cannot round safely (an exact tie is rounded half to even).
+    """
+    thr, exponent, hi, lo, hh, hl = _g17_scales()
+    quads, trailing, first, sign_lead, exp_sep, shift, keep, dot = _g17_text()
+    v = np.asarray(values, dtype=np.float64)
+    a = np.abs(v)
+    finite = np.isfinite(a)
+    zero = a == 0.0
+    odd = zero | ~finite
+    any_odd = odd.any()
+    if any_odd:
+        a[odd] = 1.0
+    m, e = np.frexp(a)
+    j = e - _E_MIN
+    j = j + j + (a >= np.take(thr, j))
+    X = np.take(exponent, j)
+    # Dekker: p + q = m * (hi + lo), p = fl(m * hi)
+    c = _SPLIT * m
+    mh = c - (c - m)
+    ml = m - mh
+    p = m * np.take(hi, j)
+    bh, bl = np.take(hh, j), np.take(hl, j)
+    q = ((mh * bh - p) + mh * bl + ml * bh) + ml * bl + m * np.take(lo, j)
+    floor_q = np.floor(q)
+    half = (q - floor_q) - 0.5
+    D = p.astype(np.int64) + floor_q.astype(np.int64) + (half > 0)
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    X += carry
+    fallback = np.abs(half) < 1e-9
+    if any_odd:
+        D[zero] = 0
+        X[zero] = 0
+        fallback |= ~finite
+
+    # digits d0 | d1-d4 d5-d8 | d9-d12 d13-d16, in words 0-2 of each slot
+    H, L = np.divmod(D, 10 ** 8)
+    d0, H = np.divmod(H.astype(np.int32), 10 ** 8)
+    c1, c2 = np.divmod(H, 10 ** 4)
+    c3, c4 = np.divmod(L.astype(np.int32), 10 ** 4)
+    w0 = np.take(first, d0)
+    w1 = np.take(quads, c1) | (np.take(quads, c2) << np.uint64(32))
+    w2 = np.take(quads, c3) | (np.take(quads, c4) << np.uint64(32))
+    last = 16 - np.take(trailing, c4)  # the last nonzero digit
+    z = np.flatnonzero(c4 == 0)
+    if z.size:
+        last[z] = np.select([c3[z] != 0, c2[z] != 0, c1[z] != 0],
+                            [12 - trailing[c3[z]], 8 - trailing[c2[z]], 4 - trailing[c1[z]]], 0)
+    if any_odd:
+        last[zero] = -1
+    fixed = (X >= -4) & (X < 17)
+    lead = np.where(fixed & (X < 0), 1 - X, 0)  # length of "0.000"
+    point = np.where(fixed, X, 0)
+    point[lead > 0] = -1
+    mask = 18 * (point + 1) + np.where(last > point, last + 1, point)
+
+    out = np.empty((v.size, 4), "<u8")
+    s8, s56 = np.uint64(8), np.uint64(56)
+    out[:, 0] = (((w0 >> s8) | (w1 << s56)) & np.take(shift[0], mask)
+                 | w0 & np.take(keep[0], mask) | np.take(dot[0], mask)
+                 | np.take(sign_lead, 6 * np.signbit(v) + lead))
+    out[:, 1] = (((w1 >> s8) | (w2 << s56)) & np.take(shift[1], mask)
+                 | w1 & np.take(keep[1], mask) | np.take(dot[1], mask))
+    out[:, 2] = ((w2 >> s8) & np.take(shift[2], mask)
+                 | w2 & np.take(keep[2], mask) | np.take(dot[2], mask))
+    tail = np.where(fixed, 0, X + 325)
+    tail.reshape(-1, n_cols)[:, -1] += len(exp_sep) // 2  # the newline half
+    out[:, 3] = np.take(exp_sep, tail)
+    out = out.view(np.uint8)
+    for i in np.flatnonzero(fallback).tolist():
+        text = b"%.17g" % v[i] + (b"\n" if i % n_cols == n_cols - 1 else b",")
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write_csv(path, header: str, columns, comment: str | None = None,
@@ -351,11 +515,24 @@ def _write_csv(path, header: str, columns, comment: str | None = None,
 
     Values are written as ``%.17g``, which round-trips every float64 exactly,
     unless ``formats`` gives a column its own conversion; a ``%s`` column must
-    be an object array.
+    be an object array.  Each block of rows is formatted by one ``%``, or, if
+    it is all float64 under ``%.17g`` and holds at least ``_G17_MIN_VALUES``
+    values, by :func:`_format_g17`.
     """
     columns = [np.asarray(c) for c in columns]
+    if len({len(c) for c in columns}) > 1:
+        raise ShapeError(f"columns of unequal length {[len(c) for c in columns]}")
     line = ",".join(formats or ["%.17g"] * len(columns)) + "\n"
-    _write_rows(path, header, _fill_rows(_row_patterns(line, len(columns[0])), columns), comment)
+    with open(path, "w") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+            if formats is None and block.dtype == np.float64 and block.size >= _G17_MIN_VALUES:
+                fh.write(_format_g17(block.ravel(), len(columns)))
+            else:
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def field_to_csv(field: ComplexField, path, comment: str | None = None) -> None:

@@ -18,17 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import van_vleck_time
-from .core import HBAR, ComplexField, Grid, _fill_rows, _freeze, _row_patterns, _write_rows
+from .core import HBAR, ComplexField, Grid, _freeze, _write_csv
 from .errors import DomainError, ShapeError, finite, nonnegative, positive
 from .propagate import _it_map, _weights, interpolate_field, it_field_uniform
 
 MACROSCOPIC_RADIUS = 1e3
 FAR_FIELD_RATIO = 10.0
-
-# density_to_csv's last grid and its row patterns: the coordinates formatted,
-# the density slot left open.  Files written in turn on one grid (it-check's
-# exact and imaged densities) format their coordinates once.
-_last_grid_rows: tuple[Grid, list[str]] | None = None
 
 
 @dataclass(frozen=True)
@@ -196,19 +191,10 @@ def chained_density(final_it_density, incident_density_value: float):
 
 def density_to_csv(grid: Grid, density: np.ndarray, path, comment: str | None = None) -> None:
     """Columns: one coordinate per axis, then density."""
-    global _last_grid_rows
     density = np.asarray(density).ravel()
     n_rows = math.prod(grid.n)
     if density.size != n_rows:
         raise ShapeError(f"{density.size} density values for a grid of {n_rows} points")
-    # grids equal as values give the same text: an origin of -0.0 gives
-    # coordinates -0.0 + 0.0 * dx = 0.0, as an origin of 0.0 does.  One read
-    # of the memo, so a concurrent write on another grid cannot swap it midway.
-    memo = _last_grid_rows
-    if memo is None or memo[0] != grid:
-        axes = np.meshgrid(*grid.axes(), indexing="ij")
-        line = ",".join(["%.17g"] * grid.dimension + ["%%.17g"]) + "\n"
-        memo = grid, list(_fill_rows(_row_patterns(line, n_rows), [a.ravel() for a in axes]))
-        _last_grid_rows = memo
+    axes = np.meshgrid(*grid.axes(), indexing="ij")
     header = ",".join(f"x{i}" for i in range(grid.dimension)) + ",density"
-    _write_rows(path, header, _fill_rows(memo[1], [density]), comment)
+    _write_csv(path, header, [a.ravel() for a in axes] + [density], comment)

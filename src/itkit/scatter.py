@@ -20,7 +20,7 @@ from .bessel import hankel_h1
 from .classical import _distance
 from .core import HBAR, _freeze, _write_csv
 from .errors import (CausticError, CoverageError, DegenerateInputError, DomainError,
-                     SingularityError, finite, nonnegative, positive)
+                     ShapeError, SingularityError, finite, nonnegative, positive)
 
 TWO_PI = 2.0 * math.pi
 BORN_POINTS = 64  # trapezoid points per axis of the first-order amplitude's cube
@@ -36,6 +36,9 @@ def green_free(r, r_prime, E: float, m: float = 1.0) -> complex:
     if R == 0.0:
         raise SingularityError("coincident points")
     p = math.sqrt(2.0 * m * E)
+    # Python floats overflow to inf without a warning; a finite |G| bounds
+    # both components of the complex expression
+    finite(**{"phase p'R/hbar": p * R / HBAR, "|G|": m / (TWO_PI * HBAR ** 2) / R})
     return -(m / (TWO_PI * HBAR ** 2)) * np.exp(1j * p * R / HBAR) / R
 
 
@@ -159,16 +162,24 @@ class HyperConfig:
     def alpha(self) -> float:
         return (3 * self.n_particles - 2) / 2.0
 
+    def _configuration(self, name: str, positions) -> np.ndarray:
+        """``positions`` as finite (N, 3) coordinates, one 3-vector per particle."""
+        pos = np.atleast_2d(np.asarray(positions, dtype=float))
+        if pos.shape != (self.n_particles, 3):
+            raise ShapeError(f"{name} must hold one 3-vector per particle, shape "
+                             f"({self.n_particles}, 3), got {pos.shape}")
+        finite(**{name: pos})
+        return pos
+
     def hyper_radius(self, positions) -> float:
         """Mass-weighted radius of a configuration (one 3-vector per particle)."""
-        pos = np.atleast_2d(np.asarray(positions, dtype=float))
-        if pos.shape[0] != self.n_particles:
-            raise DomainError("one position per particle required")
+        pos = self._configuration("positions", positions)
         return math.sqrt(float(np.sum(self.masses[:, None] * pos ** 2)) / self.mu)
 
     def hyper_separation(self, positions, positions_prime) -> float:
-        pos = np.atleast_2d(np.asarray(positions, dtype=float))
-        posp = np.atleast_2d(np.asarray(positions_prime, dtype=float))
+        """Mass-weighted distance between two configurations."""
+        pos = self._configuration("positions", positions)
+        posp = self._configuration("positions_prime", positions_prime)
         return math.sqrt(float(np.sum(self.masses[:, None] * (pos - posp) ** 2)) / self.mu)
 
 

@@ -1,4 +1,9 @@
 import pytest
+from hypothesis import settings
+
+# --hypothesis-profile=ci: 2,000 examples for the CI step that runs the %.17g
+# kernel's bit-pattern property alone
+settings.register_profile("ci", max_examples=2000)
 
 
 @pytest.fixture

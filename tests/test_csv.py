@@ -1,10 +1,15 @@
 """Byte identity of every CSV writer with the per-row formatter it replaced.
 
 The reference writers below are the row-at-a-time implementations the
-block-formatted writer replaced; each case requires the same bytes.
+block-formatted writer replaced; each case requires the same bytes.  Large
+all-float blocks go through the vectorised ``%.17g`` kernel,
+``core._format_g17``; the tests at the end call it directly, on raw bit
+patterns and on a fixed set of edge values, against ``'%.17g' % v``.
 """
 
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,8 +143,9 @@ class TestFieldAndDensity:
 
 
 class TestDensityCoordinateMemo:
-    """density_to_csv keeps the last grid's formatted coordinates; every write
-    must still give the reference bytes, whichever grid came before."""
+    """Density files written in turn, on one grid or on grids that differ in
+    one coordinate: every write gives the reference bytes, whichever grid
+    came before."""
 
     @staticmethod
     def assert_writes(tmp_path, writes):
@@ -188,6 +194,15 @@ class TestDensityCoordinateMemo:
         for n in (15, 17):
             with pytest.raises(ShapeError):
                 density_to_csv(grid, np.ones(n), tmp_path / "d.csv")
+
+
+@pytest.mark.parametrize("lengths", [(3, 7, 7, 7), (4096, 5000, 5000, 5000), (5000, 4096, 5000, 5000)])
+def test_unequal_columns_are_refused(tmp_path, lengths):
+    # a first column of one block used to write one block of every column
+    # and drop the rest; other lengths failed untyped after the header
+    with pytest.raises(ShapeError):
+        curve_to_csv(*map(np.ones, lengths), tmp_path / "c.csv")
+    assert not (tmp_path / "c.csv").exists()
 
 
 class TestTrajectories:
@@ -264,8 +279,7 @@ class TestCliFiles:
 
     def test_it_check_densities(self, tmp_path, monkeypatch):
         # every density file is the reference writer applied to its own grid
-        # and its parsed density column: exact and imaged files share a grid,
-        # so the second of each pair writes memoized coordinates
+        # and its parsed density column
         grids, write = {}, imaging.density_to_csv
 
         def recording(grid, density, path, comment=None):
@@ -293,3 +307,102 @@ class TestCliFiles:
         assert main(["xsec", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert self.assert_canonical(tmp_path / "xsec.csv",
                                      "angle_deg,f_re,f_im,dsigma_domega_au") == 7
+
+
+def g17_rows(values, n_cols):
+    """The reference: ``n_cols`` values per row, each as ``'%.17g' % v``."""
+    values = [float(v) for v in values]
+    return "".join(",".join("%.17g" % v for v in values[i:i + n_cols]) + "\n"
+                   for i in range(0, len(values), n_cols))
+
+
+def assert_g17(values, n_cols=1):
+    values = np.asarray(values, dtype=np.float64)
+    assert core._format_g17(values, n_cols) == g17_rows(values, n_cols)
+
+
+# the kernel's property test: every float64, NaN and inf included, as a bit
+# pattern.  Its example count comes from the Hypothesis profile ("ci": 2,000).
+@settings(deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(0, 2 ** 64 - 1), max_size=256))
+def test_g17_kernel_bit_patterns(n_cols, bits):
+    bits = np.array(bits[:len(bits) - len(bits) % n_cols], dtype=np.uint64)
+    assert_g17(bits.view(np.float64), n_cols)
+
+
+def _ulps(x, n=1):
+    """``x`` and its n neighbours either side, one unit in the last place apart."""
+    out, lo, hi = [x], x, x
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def _ties():
+    """Exact ties at 17 digits: d + 1 integer digits and 17 - d binary fraction
+    digits give 18 significant digits, the last a 5 (d <= 15 keeps 53 bits)."""
+    out = []
+    for d in range(16):
+        step = 2.0 ** (d - 17)
+        start = math.ceil(10.0 ** d / step) | 1
+        out += [(start + 2 * i) * step for i in range(3)]
+    return out
+
+
+G17_EDGES = {
+    "powers of two": [math.ldexp(1.0, k) for k in range(-1074, 1024)],
+    "powers of ten": [v for k in range(-323, 309) for v in _ulps(float(f"1e{k}"))],
+    "notation switches": [v for x in (1e-5, 1e-4, 1e16, 1e17, 1.25e16, 9.9999999999999995e-5,
+                                      99999999999999999.0) for v in _ulps(x, 3)],
+    "zeros and extremes": [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                           1.7976931348623157e308, -1.7976931348623157e308,
+                           math.inf, -math.inf, math.nan],
+    "ties": [v for x in _ties() for v in _ulps(x)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(G17_EDGES))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_g17_kernel_edges(name, sign):
+    assert_g17([sign * v for v in G17_EDGES[name]])
+
+
+def test_g17_ties_are_exact():
+    # the edge set's ties are genuine: 18 significant digits, the last a 5
+    for x in _ties():
+        digits = decimal.Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, x
+
+
+def test_g17_scale_table_is_exact():
+    # per frexp exponent: the threshold is the least float >= 10**(k+1), the
+    # decade bounds the octave, and hi + lo is 10**(16-X) * 2**e to 2**-105
+    thr, X, hi, lo, hh, hl = core._g17_scales()
+    assert np.array_equal(hh + hl, hi)
+    for i, e in enumerate(range(core._E_MIN, 1025)):
+        k = int(X[2 * i])
+        assert Fraction(10) ** k <= Fraction(2) ** (e - 1) < Fraction(2) ** e < Fraction(10) ** (k + 2)
+        assert Fraction(math.nextafter(thr[i], 0)) < Fraction(10) ** (k + 1) <= Fraction(thr[i])
+        for r in (2 * i, 2 * i + 1):
+            exact = Fraction(10) ** (16 - int(X[r])) * Fraction(2) ** e
+            assert abs(Fraction(hi[r]) + Fraction(lo[r]) - exact) < exact / 2 ** 105
+
+
+def test_blocks_on_both_sides_of_the_crossover(tmp_path, monkeypatch):
+    # one full block through the kernel, then a last block of 127 rows of 4
+    # (508 values) below the crossover, through one %
+    sizes, kernel = [], core._format_g17
+
+    def counting(values, n_cols):
+        sizes.append(values.size)
+        return kernel(values, n_cols)
+
+    monkeypatch.setattr(core, "_format_g17", counting)
+    n = core._CSV_BLOCK_ROWS + 127
+    rng = np.random.default_rng(3)
+    cols = [rng.normal(size=n) * 10.0 ** rng.integers(-320, 300, n) for _ in range(3)]
+    cols.append(edge_column(n))
+    assert_same_bytes(tmp_path, curve_to_csv, ref_curve_to_csv, *cols)
+    assert sizes == [4 * core._CSV_BLOCK_ROWS]
+    assert 4 * 127 < core._G17_MIN_VALUES <= 4 * core._CSV_BLOCK_ROWS

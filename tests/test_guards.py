@@ -1,6 +1,8 @@
 """One input rule across the public surface.
 
-Every public callable of the library modules has one valid call in ``CALLS``.
+Every public callable of the library modules has one valid call in ``CALLS``,
+and so do the public methods that take numbers ("module.Class.method", called
+with an instance first).
 The walk replaces each numeric argument in turn (for a vector, its first
 element) with NaN, +inf, -inf, 0 and -1.  The call must then raise an
 ItkitError or return a finite result, with numerical warnings as errors.  A
@@ -15,6 +17,7 @@ import ast
 import dataclasses
 import inspect
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -22,7 +25,7 @@ import numpy as np
 import pytest
 
 from itkit import bessel, classical, coincidence, core, imaging, propagate, scatter
-from itkit.errors import ItkitError
+from itkit.errors import DomainError, ItkitError
 
 MODULES = (core, classical, propagate, imaging, coincidence, scatter, bessel)
 BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0)
@@ -120,6 +123,9 @@ CALLS = {
     "scatter.detection_probability_ti": ((0.5 + 0.1j, 1.0, 1.0, 2.0, 0.1, 0.01), {}),
     "scatter.HyperConfig": ((np.array([1.0, 2.0]), 1.0, 0.5), {}),
     "scatter.hyper_config": (([1.0, 2.0], 2.0, 0.5), {}),
+    "scatter.HyperConfig.hyper_radius": ((HYPER, [[1.0, 0.5, 0.5], [0.5, 0.5, 1.0]]), {}),
+    "scatter.HyperConfig.hyper_separation": (
+        (HYPER, [[1.0, 0.5, 0.5], [0.5, 0.5, 1.0]], [[0.5, 0.5, 0.5], [0.5, 1.0, 0.5]]), {}),
     "scatter.characteristic_time_N": (([1.0, 2.0], [1.0, 2.0], 0.5), {}),
     "scatter.hyper_action": ((HYPER, 2.0), {}),
     "scatter.vv_hyper": ((HYPER, 2.0), {}),
@@ -197,12 +203,15 @@ def _first(bad):
 
 
 def resolve(name: str):
-    module, attr = name.split(".")
-    return getattr(next(m for m in MODULES if m.__name__.endswith(f".{module}")), attr)
+    module, *attrs = name.split(".")
+    obj = next(m for m in MODULES if m.__name__.endswith(f".{module}"))
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
 
 
 def test_table_names_every_public_callable():
-    assert set(CALLS) | EXEMPT == public_callables()
+    assert {name for name in CALLS if name.count(".") == 1} | EXEMPT == public_callables()
     assert not set(CALLS) & EXEMPT
 
 
@@ -232,6 +241,43 @@ def test_bad_numbers_raise_or_give_finite_results(name, tmp_path):
             if not all_finite(result):
                 leaks.append(f"argument {slot} = {_first(bad)}: non-finite result")
     assert not leaks, f"{name}:\n" + "\n".join(leaks)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fn, args, expected", [
+    # the result is beyond the float range: a DomainError naming it
+    pytest.param(coincidence.characteristic_time, (1e300, 1e300, 1e-300), "characteristic_time",
+                 id="characteristic_time-overflows"),
+    pytest.param(classical.van_vleck_time, (1e200, 1e-200), "van_vleck_factor",
+                 id="van_vleck_time-overflows"),
+    pytest.param(scatter.green_free, ([1e308, 0.0, 0.0], [-1e308, 0.0, 0.0], 0.5), "distance",
+                 id="green_free-distance-overflows"),
+    pytest.param(classical.van_vleck_time, (1e-200, 1e200), "van_vleck_factor",
+                 id="van_vleck_time-underflows"),
+    pytest.param(scatter.green_free, ([1e-300, 0.0, 0.0], [0.0, 0.0, 0.0], 0.5, 1e300), "|G|",
+                 id="green_free-modulus-overflows"),
+    pytest.param(scatter.green_free, ([1e300, 0.0, 0.0], [0.0, 0.0, 0.0], 1e300, 1e300), "phase",
+                 id="green_free-phase-overflows"),
+    # only an intermediate leaves it: the value, here its modulus, comes back
+    pytest.param(coincidence.characteristic_time, (1e300, 1e-300, 1e300), 1e-300,
+                 id="characteristic_time-quotient-underflows"),
+    pytest.param(coincidence.characteristic_time, (1e-300, 1e300, 1e-300), 1e300,
+                 id="characteristic_time-quotient-overflows"),
+    pytest.param(coincidence.characteristic_time, (1e-300, 1e-10, 1e-300), 1e-10,
+                 id="characteristic_time-product-subnormal"),
+    pytest.param(classical.van_vleck_time, ([1e150, 1e-150], [1.0, 1.0]), 1.0,
+                 id="van_vleck_time-factors-leave-range"),
+    pytest.param(classical.van_vleck_time, ([1e-200, 1e100], [1.0, 1.0]), 1e-300,
+                 id="van_vleck_time-factor-underflows"),
+    pytest.param(scatter.green_free, ([1e300, 0.0, 0.0], [-1e300, 0.0, 0.0], 0.5),
+                 1.0 / (2.0 * math.pi * 2e300), id="green_free-squares-overflow"),
+])
+def test_results_beyond_the_float_range(fn, args, expected):
+    if isinstance(expected, str):
+        with pytest.raises(DomainError, match=re.escape(expected)):
+            fn(*args)
+    else:
+        assert abs(fn(*args)) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def _range_guards(tree: ast.AST):

@@ -87,6 +87,20 @@ def test_import_cli_loads_no_scipy():
     assert loaded == []
 
 
+def test_import_cli_builds_no_g17_table():
+    # the %.17g kernel's lookup tables are built on first use, not at import,
+    # and the package loads no module beyond numpy and the stdlib ones it names
+    out, _ = fresh(
+        "import __future__, argparse, contextlib, dataclasses, functools, json, math\n"
+        "import pathlib, sys, warnings\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "from itkit import cli, core\n"
+        "print(json.dumps([sorted(m for m in set(sys.modules) - before if m.split('.')[0] != 'itkit'),\n"
+        "                  core._g17_scales.cache_info().currsize, core._g17_text.cache_info().currsize]))\n")
+    assert json.loads(out.splitlines()[-1]) == [[], 0, 0]
+
+
 def run_command(tmp_path, command: str, config_text: str) -> tuple[int, list[str]]:
     config = tmp_path / f"{command}.txt"
     config.write_text(config_text)
