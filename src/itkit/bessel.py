@@ -4,8 +4,9 @@ Every order is reached by the upward recurrence H_{v+1} = (2v/z) H_v - H_{v-1}
 (DLMF 10.6.1) from a seed pair (H_{v0-1}, H_{v0}): closed forms at v0 = 1/2; at
 v0 = 0 the large-argument expansion for z >= ASYMPTOTIC_FROM, else Miller's
 backward recurrence for J with Neumann series for Y (Gautschi, SIAM Rev. 9, 24
-(1967)).  Below ASYMPTOTIC_FROM J is read from the Miller table, as the upward
-recurrence keeps it accurate relative to |H| only once the order passes z.  The
+(1967)).  J is read from a Miller table, scaled to the seeds' J, below
+ASYMPTOTIC_FROM and wherever the order passes z: there J falls far below |H|,
+and the upward recurrence keeps it accurate only relative to |H|.  The
 Wronskian J_{v0} Y_{v0-1} - J_{v0-1} Y_{v0} = 2/(pi z) is checked on the seeds.
 """
 
@@ -75,14 +76,14 @@ def hankel_h1(order: float, z: float) -> complex:
     if order > 2.0 * z + 1001.0:
         # |H| >= 3^1000 sqrt(2/(pi z)): |H_{v+1}| >= (2v/z - 1)|H_v| as |H_v| grows (DLMF 10.9.30)
         raise DomainError(f"H1 overflows at order {order}, z={z}")
-    miller = z < ASYMPTOTIC_FROM
-    if miller:
-        # 30 orders above max(z, order) take the table to rounding for z < 25
-        j = _miller_table(v0, max(steps, int(z)) + 30, z)
+    table = z < ASYMPTOTIC_FROM or order > z
+    if table:
+        # J has fallen to rounding max(30, 8 z^(1/3)) orders above max(z, order)
+        j = _miller_table(v0, max(steps, int(z)) + max(30, math.ceil(8.0 * z ** (1 / 3))), z)
     if v0:
         h_prev = math.sqrt(2.0 / (math.pi * z)) * complex(math.cos(z), math.sin(z))
         h = -1j * h_prev
-    elif miller:
+    elif z < ASYMPTOTIC_FROM:
         h_prev, h = _integer_seeds(j, z)
     else:
         h_prev, h = -_hankel_asymptotic(1.0, z), _hankel_asymptotic(0.0, z)
@@ -90,12 +91,12 @@ def hankel_h1(order: float, z: float) -> complex:
     if not residual <= WRONSKIAN_TOL:  # a NaN seed fails too
         raise StabilityError(
             f"Wronskian self-check failed at order {v0}, z={z}: residual {residual:.2e}")
-    if miller:  # J at the requested order, normalised on the larger of the two seed J
+    if table:  # J at the requested order, normalised on the larger of the two seed J
         seed, k = (h_prev.real, 0) if abs(h_prev.real) > abs(h.real) else (h.real, 1)
         re = j[steps + 1] * (seed / j[k])
     for k in range(steps):
         h_prev, h = h, (2.0 * (v0 + k) / z) * h - h_prev
-    h = complex(re, h.imag) if miller else h
+    h = complex(re, h.imag) if table else h
     if not math.isfinite(abs(h)):
         raise DomainError(f"H1 overflows at order {order}, z={z}")
     return h

@@ -211,22 +211,24 @@ def characteristic_action_W_free(r, r_prime, E: float, m: float = 1.0) -> float:
     return math.sqrt(2.0 * m * E) * _distance(r, r_prime)
 
 
-def time_of_flight_free(r, r_prime, E: float, m: float = 1.0) -> tuple[float, float]:
-    """(T, dT/dE) for the free path: T = m R / p', dT/dE = -T / (2E)."""
+def _free_path_length(r, r_prime, E: float, m: float) -> float:
+    """|r - r'| of a free path at energy E; coincident endpoints are a SingularityError."""
     positive(E=E, m=m)
     R = _distance(r, r_prime)
     if R == 0.0:
-        raise DomainError("coincident endpoints")
-    T = m * R / math.sqrt(2.0 * m * E)
+        raise SingularityError("coincident endpoints")
+    return R
+
+
+def time_of_flight_free(r, r_prime, E: float, m: float = 1.0) -> tuple[float, float]:
+    """(T, dT/dE) for the free path: T = m R / p', dT/dE = -T / (2E)."""
+    T = m * _free_path_length(r, r_prime, E, m) / math.sqrt(2.0 * m * E)
     return T, -T / (2.0 * E)
 
 
 def density_D_free(r, r_prime, E: float, m: float = 1.0) -> float:
     """Fixed-energy trajectory density D = -(dT/dE) C(T) = m^2 / R^2 in 3-D, for any E > 0."""
-    positive(E=E, m=m)
-    R = _distance(r, r_prime)
-    if R == 0.0:
-        raise SingularityError("coincident endpoints")
+    R = _free_path_length(r, r_prime, E, m)
     return m * m / (R * R)
 
 

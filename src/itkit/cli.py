@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coincidence as coin
-from . import imaging, propagate, scatter
+from . import classical, imaging, propagate, scatter
 from .core import (
     CM_TO_BOHR,
     EV_TO_HARTREE,
@@ -31,8 +31,6 @@ from .core import (
     _write_csv,
     centered_grid_1d,
     sample_gaussian,
-    to_momentum,
-    to_position,
 )
 from .errors import DomainError, InfeasibleError, ItkitError, positive
 
@@ -54,9 +52,12 @@ MAX_BINS = 1 << 22
 # greens: ~1.2 kB per radius (three Python result rows), so 2^19 radii peak
 # near 0.6 GB
 MAX_RADII = 1 << 19
-# greens: every radius builds an n_particles-long mass array; 2^16 particles
-# keep it under 1 MB
+# greens: the Hankel recurrence and its Miller table take ~1.5 n_particles
+# steps per radius; at 2^16 particles a radius takes up to 0.04 s (2-core host)
 MAX_PARTICLES = 1 << 16
+# every integer key is a count, read as lying in [1, bound]
+COUNT_BOUNDS = {"n_points": MAX_IT_POINTS, "n_angles": MAX_ANGLES, "n_bins": MAX_BINS,
+                "n_r": MAX_RADII, "n_particles": MAX_PARTICLES}
 
 
 class ConfigError(Exception):
@@ -131,7 +132,10 @@ class Config:
                             "not a real number")
 
     def integer(self, key: str, default: int | None = None) -> int:
-        return self._lookup(key, default, int, "not an integer")
+        value = self._lookup(key, default, int, "not an integer")
+        if not 1 <= value <= COUNT_BOUNDS[key]:
+            raise ConfigError(f"{key} must lie in [1, {COUNT_BOUNDS[key]}], got {value}")
+        return value
 
     def vector(self, key: str, default=None) -> np.ndarray:
         values = self._lookup(key, default,
@@ -177,17 +181,14 @@ def cmd_it_check(cfg: Config, out_dir: Path, seed: int | None) -> int:
             raise ConfigError(f"times {seen[label]!r} and {t!r} both write "
                               f"exact_density_t{label}.csv; give each time once")
         seen[label] = t
-    if n > MAX_IT_POINTS:
-        raise ConfigError(f"n_points must be at most {MAX_IT_POINTS}, got {n}")
     with _config_values():
         positive(mass=mass, times=times)
         packet = GaussianPacketSpec(p0=[p0], sigma_p=[sigma_p], r0=[0.0])
         pgrid = centered_grid_1d(40.0 * sigma_p, n, p0)
-    sigma_x = 1.0 / (2.0 * sigma_p)
     xgrids = []
     for t in times:
         center = p0 * t / mass
-        spread = math.sqrt(sigma_x ** 2 + (sigma_p * t / mass) ** 2)
+        spread = math.sqrt(packet.sigma_x[0] ** 2 + (sigma_p * t / mass) ** 2)
         xgrid = centered_grid_1d(30.0 * spread + 2.0 * abs(center), n, center)
         # the reference packet's momenta (6 sigma) must fit in the band |p| <= pi/dx
         # of its position grid, else it aliases and the error column is noise
@@ -200,9 +201,7 @@ def cmd_it_check(cfg: Config, out_dir: Path, seed: int | None) -> int:
     errors = []
     for t, xgrid in zip(times, xgrids):
         psi0 = sample_gaussian(packet, xgrid, "position")
-        exact_psi = to_position(
-            propagate.evolve_free_exact(to_momentum(psi0), mass, float(t)), xgrid
-        )
+        exact_psi = propagate.evolve_free_exact(psi0, mass, float(t))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UserWarning)
             it_psi = imaging.apply_it_free(phi, mass, float(t), xgrid)
@@ -234,9 +233,7 @@ def cmd_delays(cfg: Config, out_dir: Path, seed: int | None) -> int:
         # the energy shares p^2 / 2m stay in range where p^2 may not
         "energy_residual": float(np.sum((momenta / np.sqrt(2 * masses)) ** 2) - energy),
     }
-    with open(out_dir / "momenta.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    coin.fit_report_to_json(payload, out_dir / "momenta.json")
     print(json.dumps(payload))
     return EXIT_OK
 
@@ -259,8 +256,6 @@ def cmd_coincidence(cfg: Config, out_dir: Path, seed: int | None) -> int:
         cfg.reject_unknown()
         with _config_values():
             positive(tau_max=tau_max)
-        if not 1 <= n_bins <= MAX_BINS:
-            raise ConfigError(f"n_bins must lie in [1, {MAX_BINS}], got {n_bins}")
         if n_events > coin.MAX_EVENTS:
             raise ConfigError(f"n_events must be at most {coin.MAX_EVENTS:g}, got {n_events:g}")
         with _config_values():
@@ -298,8 +293,6 @@ def cmd_xsec(cfg: Config, out_dir: Path, seed: int | None) -> int:
     energy = cfg.real("energy")
     n_angles = cfg.integer("n_angles", 19)
     cfg.reject_unknown()
-    if not 1 <= n_angles <= MAX_ANGLES:
-        raise ConfigError(f"n_angles must lie in [1, {MAX_ANGLES}], got {n_angles}")
     with _config_values():
         positive(mass=mass, a=a)
     with _config_values(InfeasibleError):
@@ -330,32 +323,25 @@ def cmd_greens(cfg: Config, out_dir: Path, seed: int | None) -> int:
     mu = cfg.real("mu", 1.0)
     mass = cfg.real("mass", 1.0)
     cfg.reject_unknown()
-    if not 1 <= n_r <= MAX_RADII:
-        raise ConfigError(f"n_r must lie in [1, {MAX_RADII}], got {n_r}")
-    if not 1 <= n_particles <= MAX_PARTICLES:
-        raise ConfigError(f"n_particles must lie in [1, {MAX_PARTICLES}], got {n_particles}")
     with _config_values():
         positive(mass=mass, mu=mu)
     with _config_values(InfeasibleError):
         positive(energy=energy)
-    radii = np.linspace(r_min, r_max, n_r)
+    config = scatter.hyper_config([mass] * n_particles, mass if n_particles == 1 else mu, energy)
     rows = []
-    for R in radii:
+    for R in np.linspace(r_min, r_max, n_r):
         if R <= 0:
             print(f"note: skipping nonpositive radius {R:g}", file=sys.stderr)
             continue
         if n_particles == 1:
-            config = scatter.hyper_config([mass], mass, energy)
-            g0 = scatter.green_free([R, 0, 0], [0, 0, 0], energy, mass)
-            w = math.sqrt(2 * mass * energy) * R
-            gsc = scatter.green_semiclassical(w, mass * mass / (R * R))
-            rows.append((R, energy, g0, "exact-free"))
-            rows.append((R, energy, gsc, "semiclassical"))
-            rows.append((R, energy, scatter.green_hyper_hankel(config, R), "hyper-hankel"))
+            r, origin = [R, 0.0, 0.0], [0.0, 0.0, 0.0]
+            w = classical.characteristic_action_W_free(r, origin, energy, mass)
+            d = classical.density_D_free(r, origin, energy, mass)
+            rows.append((R, energy, scatter.green_free(r, origin, energy, mass), "exact-free"))
+            rows.append((R, energy, scatter.green_semiclassical(w, d), "semiclassical"))
         else:
-            config = scatter.hyper_config([mass] * n_particles, mu, energy)
             rows.append((R, energy, scatter.green_hyper_asymptotic(config, R), "hyper-asymptotic"))
-            rows.append((R, energy, scatter.green_hyper_hankel(config, R), "hyper-hankel"))
+        rows.append((R, energy, scatter.green_hyper_hankel(config, R), "hyper-hankel"))
     scatter.green_scan_to_csv(rows, out_dir / "greens.csv", cfg.comment())
     return EXIT_OK
 

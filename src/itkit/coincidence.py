@@ -430,6 +430,7 @@ def curve_to_csv(delta_t, p1, p2, prob, path, comment: str | None = None) -> Non
 
 
 def fit_report_to_json(report: dict, path) -> None:
+    """Write a report, a fit's or the delays command's momenta, as JSON indented by 2."""
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -106,6 +106,10 @@ class Grid:
     def meshgrid(self) -> list[np.ndarray]:
         return np.meshgrid(*self.axes(), indexing="ij", sparse=True)
 
+    def points(self) -> np.ndarray:
+        """Every grid point as a row of coordinates, in C order: shape (prod n, d)."""
+        return np.stack([a.ravel() for a in np.meshgrid(*self.axes(), indexing="ij")], axis=-1)
+
     def conjugate(self) -> "Grid":
         """Momentum grid of the discrete transform: dx dp N = 2 pi hbar."""
         n, dp, p0 = [], [], []
@@ -176,19 +180,17 @@ class ComplexField:
 
     def boundary_density_ratio(self) -> float:
         """Max boundary density over max density (0 for an empty shell)."""
-        dens = self.density()
-        peak = dens.max()
-        # NaN or inf anywhere in the field makes the peak NaN or inf
-        finite(**{"field density": peak})
-        if peak == 0.0:
-            return 0.0
-        edge = 0.0
-        for ax in range(dens.ndim):
-            sl = [slice(None)] * dens.ndim
-            for idx in (0, -1):
-                sl[ax] = idx
-                edge = max(edge, float(dens[tuple(sl)].max()))
-        return edge / peak
+        return _edge_ratio("field density", self.density())
+
+
+def _edge_ratio(name: str, a: np.ndarray) -> float:
+    """Largest element of nonnegative ``a`` on its outermost shell, the first and last
+    slice of each axis, over its largest element (0 if that is 0)."""
+    peak = a.max()
+    # NaN or inf anywhere in ``a`` makes the peak NaN or inf
+    finite(**{name: peak})
+    edge = max(float(np.take(a, i, axis=ax).max()) for ax in range(a.ndim) for i in (0, -1))
+    return 0.0 if peak == 0.0 else edge / peak
 
 
 def check_boundary(field: ComplexField, what: str) -> None:
@@ -537,8 +539,7 @@ def _write_csv(path, header: str, columns, comment: str | None = None,
 
 def field_to_csv(field: ComplexField, path, comment: str | None = None) -> None:
     """Columns: one coordinate per axis, then re, im."""
-    axes = np.meshgrid(*field.grid.axes(), indexing="ij")
-    cols = [a.ravel() for a in axes] + [field.values.real.ravel(), field.values.imag.ravel()]
+    cols = [*field.grid.points().T, field.values.real.ravel(), field.values.imag.ravel()]
     header = ",".join(f"x{i}" for i in range(field.grid.dimension)) + ",re,im"
     _write_csv(path, header, cols, comment)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .classical import van_vleck_time
 from .core import HBAR, ComplexField, Grid, _freeze, _write_csv
 from .errors import DomainError, ShapeError, finite, nonnegative, positive
-from .propagate import _it_map, _weights, interpolate_field, it_field_uniform
+from .propagate import _it_map, _moments, interpolate_field, it_field_uniform
 
 MACROSCOPIC_RADIUS = 1e3
 FAR_FIELD_RATIO = 10.0
@@ -69,16 +69,6 @@ class ITResult:
         _freeze(self, momentum_point=p)
 
 
-def _estimate_sigma_p(momentum_field: ComplexField) -> float:
-    w = _weights(momentum_field)
-    axes = momentum_field.grid.meshgrid()
-    var = 0.0
-    for a in axes:
-        mean = float(np.sum(w * a))
-        var += float(np.sum(w * (a - mean) ** 2))
-    return np.sqrt(var / momentum_field.grid.dimension)
-
-
 def apply_it_free(momentum_field: ComplexField, m: float, t: float, r_grid: Grid) -> ComplexField:
     """Asymptotic position field Psi(r,t) = (m/(it))^{d/2} e^{i m r^2/(2 hbar t)} Phi(m r/t).
 
@@ -86,7 +76,7 @@ def apply_it_free(momentum_field: ComplexField, m: float, t: float, r_grid: Grid
     warning when t is not deep in the far field.
     """
     out = it_field_uniform(momentum_field, r_grid, t, 0.0, m)
-    sigma_p = _estimate_sigma_p(momentum_field)
+    sigma_p = math.sqrt(sum(_moments(momentum_field)[1]) / momentum_field.grid.dimension)
     sigma_x = HBAR / (2.0 * sigma_p)
     if t * sigma_p / (m * sigma_x) <= FAR_FIELD_RATIO:
         warnings.warn(
@@ -195,6 +185,5 @@ def density_to_csv(grid: Grid, density: np.ndarray, path, comment: str | None = 
     n_rows = math.prod(grid.n)
     if density.size != n_rows:
         raise ShapeError(f"{density.size} density values for a grid of {n_rows} points")
-    axes = np.meshgrid(*grid.axes(), indexing="ij")
     header = ",".join(f"x{i}" for i in range(grid.dimension)) + ",density"
-    _write_csv(path, header, [a.ravel() for a in axes] + [density], comment)
+    _write_csv(path, header, [*grid.points().T, density], comment)

@@ -212,12 +212,15 @@ def interpolate_field(field: ComplexField, points: np.ndarray,
     return out if fill is None else np.where(inside, out, fill)
 
 
-def _weights(field: ComplexField) -> np.ndarray:
-    """The field's density normalized to unit sum."""
+def _moments(field: ComplexField) -> tuple[list[float], list[float]]:
+    """Mean and variance of each coordinate, weighted by the field's density."""
     dens = field.density()
     if not dens.any():
         raise DegenerateInputError("an all-zero field has no density to weight by")
-    return dens / dens.sum()
+    w = dens / dens.sum()
+    axes = field.grid.meshgrid()
+    mean = [float(np.sum(w * a)) for a in axes]
+    return mean, [float(np.sum(w * (a - c) ** 2)) for a, c in zip(axes, mean)]
 
 
 def _stationary_point(action, r, T: float, grid: Grid, p_init: np.ndarray):
@@ -267,8 +270,7 @@ def spa_integrate(momentum_field: ComplexField, action, r, t: float, tau: float)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     finite(r=r)
     # start Newton from the density-weighted mean momentum
-    w = _weights(momentum_field)
-    p_init = np.array([float(np.sum(w * a)) for a in grid.meshgrid()])
+    p_init = np.array(_moments(momentum_field)[0])
     p_star, hess = _stationary_point(action, r, T, grid, p_init)
     phi = complex(interpolate_field(momentum_field, p_star.reshape(1, -1))[0])
     eigs = np.linalg.eigvalsh(hess)
@@ -306,7 +308,5 @@ def it_field_uniform(momentum_field: ComplexField, r_grid: Grid, t: float, tau: 
     Uses the closed-form stationary momentum, so it is fast enough for full
     grids.  With F = None this is the free imaging map.
     """
-    axes = np.meshgrid(*r_grid.axes(), indexing="ij")
-    pts = np.stack([a.ravel() for a in axes], axis=-1)
-    vals = _it_map(momentum_field, pts, t, tau, m, F)[2]
+    vals = _it_map(momentum_field, r_grid.points(), t, tau, m, F)[2]
     return ComplexField(r_grid, POSITION, vals.reshape(tuple(r_grid.n)), t)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import hankel_h1
-from .classical import _distance
-from .core import HBAR, _freeze, _write_csv
+from .classical import _free_path_length
+from .core import HBAR, _edge_ratio, _freeze, _write_csv
 from .errors import (CausticError, CoverageError, DegenerateInputError, DomainError,
                      ShapeError, SingularityError, finite, nonnegative, positive)
 
@@ -31,10 +31,7 @@ BORN_POINTS = 64  # trapezoid points per axis of the first-order amplitude's cub
 
 def green_free(r, r_prime, E: float, m: float = 1.0) -> complex:
     """Exact free Green function -(m / 2 pi hbar^2) e^{i p' R / hbar} / R."""
-    positive(E=E, m=m)
-    R = _distance(r, r_prime)
-    if R == 0.0:
-        raise SingularityError("coincident points")
+    R = _free_path_length(r, r_prime, E, m)
     p = math.sqrt(2.0 * m * E)
     # Python floats overflow to inf without a warning; a finite |G| bounds
     # both components of the complex expression
@@ -96,9 +93,7 @@ def born_amplitude(potential, p_in, p_out, m: float = 1.0,
     v = np.broadcast_to(potential(x, y, z), (BORN_POINTS,) * 3)
     if not np.all(np.isfinite(v)):
         raise CoverageError("potential is not finite on the quadrature grid")
-    peak = np.max(np.abs(v))
-    edge = max(np.max(np.abs(np.take(v, i, axis=a))) for a in range(3) for i in (0, -1))
-    if peak > 0 and edge > 1e-10 * peak:
+    if _edge_ratio("potential", np.abs(v)) > 1e-10:
         raise CoverageError("potential has not decayed at the quadrature boundary")
     # e^{i q.r} separates: one trapezoid-weighted phase vector per axis and momentum
     w = np.ones(BORN_POINTS)
@@ -172,15 +167,14 @@ class HyperConfig:
         return pos
 
     def hyper_radius(self, positions) -> float:
-        """Mass-weighted radius of a configuration (one 3-vector per particle)."""
-        pos = self._configuration("positions", positions)
-        return math.sqrt(float(np.sum(self.masses[:, None] * pos ** 2)) / self.mu)
+        """Mass-weighted radius of a configuration: its separation from the origin."""
+        return self.hyper_separation(positions, np.zeros((self.n_particles, 3)))
 
     def hyper_separation(self, positions, positions_prime) -> float:
-        """Mass-weighted distance between two configurations."""
+        """Mass-weighted distance between two configurations (one 3-vector per particle)."""
         pos = self._configuration("positions", positions)
         posp = self._configuration("positions_prime", positions_prime)
-        return math.sqrt(float(np.sum(self.masses[:, None] * (pos - posp) ** 2)) / self.mu)
+        return _weighted_norm("mass-weighted distance", self.masses[:, None], self.mu, pos, posp)
 
 
 def hyper_config(masses, mu: float, E: float) -> HyperConfig:
@@ -196,7 +190,18 @@ def characteristic_time_N(masses, displacements, E: float) -> float:
     R = np.atleast_1d(np.asarray(displacements, dtype=float))
     positive(E=E, masses=m)
     finite(displacements=R)
-    return math.sqrt(float(np.sum(m * R ** 2)) / (2.0 * E))
+    return _weighted_norm("characteristic time", m / 2.0, E, R)
+
+
+def _weighted_norm(name: str, weights, divisor: float, x, x_prime=0.0) -> float:
+    """sqrt(sum weights (x - x')^2 / divisor) over every element, by ``math.hypot``, which
+    scales before it squares: only a result beyond the float range is a DomainError naming
+    ``name``.  A term that overflows makes the result infinite, so it is refused too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.sqrt(weights / divisor) * (x - x_prime)
+    norm = math.hypot(*scaled.ravel().tolist())
+    finite(**{name: norm})
+    return norm
 
 
 def hyper_action(config: HyperConfig, separation: float) -> float:

@@ -35,6 +35,23 @@ class TestAgainstReference:
         ref = sp.hankel1(order, z)
         assert abs(hankel_h1(order, z) - ref) <= 1e-12 * abs(ref)
 
+    @pytest.mark.parametrize("z", np.geomspace(0.05, 200.0, 12).tolist() + [500.0, 2000.0])
+    def test_each_component_against_scipy(self, z):
+        # J and Y each to their own relative accuracy, at orders 0 to 120 and
+        # at orders just past z; hankel1 is no J oracle where |Y| >> |J|
+        orders = np.arange(0.0, 120.5, 0.5).tolist() + [math.floor(z) + d for d in (0.5, 1, 2, 10)]
+        for order in orders:
+            j, y = sp.jv(order, z), sp.yv(order, z)
+            try:
+                h = hankel_h1(order, z)
+            except DomainError:  # |Y| beyond the float range
+                assert not math.isfinite(y)
+                continue
+            if abs(j) > 1e-290:  # below that scipy's J loses digits to underflow
+                assert h.real == pytest.approx(j, rel=1e-10), (order, z)
+            if math.isfinite(y):
+                assert h.imag == pytest.approx(y, rel=1e-9), (order, z)
+
     @pytest.mark.parametrize("order", ALL_ORDERS)
     def test_j_keeps_relative_accuracy_below_the_asymptotic_range(self, order):
         # J falls far below |H| once the order passes z; upward recurrence

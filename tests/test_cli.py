@@ -1,13 +1,19 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import hankel1
+from scipy.special import jv, yv
 
-from itkit.cli import MAX_ANGLES, MAX_BINS, MAX_PARTICLES, MAX_RADII, main
+from itkit import imaging
+from itkit.classical import characteristic_action_W_free, density_D_free
+from itkit.cli import COUNT_BOUNDS, MAX_ANGLES, MAX_BINS, MAX_PARTICLES, MAX_RADII, main, parse_config
+from itkit.core import GaussianPacketSpec, sample_gaussian
+from itkit.propagate import evolve_free_exact
+from itkit.scatter import green_semiclassical
 
 
 def write_config(tmp_path, text, name="config.txt"):
@@ -136,6 +142,24 @@ class TestItCheckCommand:
         assert err.startswith("config error:")
         assert named in err
         assert not any(out.glob("*.csv"))
+
+    def test_exact_density_is_the_library_propagator(self, tmp_path, monkeypatch):
+        # the reference column is evolve_free_exact's density, bit for bit
+        grids, write = {}, imaging.density_to_csv
+
+        def recording(grid, density, path, comment=None):
+            grids[path.name] = grid
+            write(grid, density, path, comment)
+
+        monkeypatch.setattr(imaging, "density_to_csv", recording)
+        code, out = run(tmp_path, "it-check", "times = 500, 1000\nn_points = 16384\n")
+        assert code == 0
+        packet = GaussianPacketSpec(p0=[1.0], sigma_p=[0.25], r0=[0.0])
+        for t in (500, 1000):
+            grid = grids[f"exact_density_t{t}.csv"]
+            psi0 = sample_gaussian(packet, grid, "position")
+            written = np.loadtxt(out / f"exact_density_t{t}.csv", delimiter=",", skiprows=2)[:, 1]
+            assert np.array_equal(written, evolve_free_exact(psi0, 1.0, float(t)).density())
 
     def test_near_field_warning(self, tmp_path, capsys):
         # the library's warning, reported once as one line
@@ -286,6 +310,13 @@ class TestGreensCommand:
         assert len(by_form["exact-free"]) == 10
         for ge, gs in zip(by_form["exact-free"], by_form["semiclassical"]):
             assert abs(ge - gs) < 1e-12 * abs(ge)
+        # the semiclassical column is classical's W and D, bit for bit
+        for r in rows:
+            if r[4] == "semiclassical":
+                x = [float(r[0]), 0.0, 0.0]
+                g = green_semiclassical(characteristic_action_W_free(x, [0.0] * 3, 0.5),
+                                        density_D_free(x, [0.0] * 3, 0.5))
+                assert complex(float(r[2]), float(r[3])) == g
 
     def test_nonpositive_radius_skipped(self, tmp_path, capsys):
         code, out = run(tmp_path, "greens",
@@ -306,21 +337,26 @@ class TestGreensCommand:
         errs = [abs(a - h) / abs(h) for a, h in zip(asym, hank)]
         assert errs[-1] < errs[0]
 
-    @pytest.mark.parametrize("n_particles", [4, 6, 7])
+    @pytest.mark.parametrize("n_particles", [4, 6, 7, 40])
     def test_many_particle_scan_matches_amos(self, tmp_path, n_particles):
-        # integer (N = 4, 6) and half-integer (N = 7) Hankel orders at z = 0.2 to 100
-        code, out = run(tmp_path, "greens",
-                        f"n_particles = {n_particles}\nenergy = 0.5\n"
-                        "r_min = 0.2\nr_max = 100\nn_r = 50\n")
+        # integer (N = 4, 6, 40) and half-integer (N = 7) Hankel orders at z = 0.2
+        # to 100; at N = 40 the order 59 passes z up to r = 59, where J << |Y|
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(tmp_path, "greens",
+                            f"n_particles = {n_particles}\nenergy = 0.5\n"
+                            "r_min = 0.2\nr_max = 100\nn_r = 50\n")
         assert code == 0
         rows = [l.split(",") for l in (out / "greens.csv").read_text().splitlines()[2:]]
-        hank = [(float(r[0]), complex(float(r[2]), float(r[3]))) for r in rows if r[4] == "hyper-hankel"]
+        hank = [[float(v) for v in r[:4]] for r in rows if r[4] == "hyper-hankel"]
         assert len(hank) == 50
-        # unit masses, mu = 1 and E = 1/2 give P = 1 and eta = 1
+        # unit masses, mu = 1 and E = 1/2 give P = 1 and eta = 1, so
+        # G = -i c (J + iY) with c = 1 / (2 (2 pi R)^a): each component on its own
         a = (3 * n_particles - 2) / 2
-        for R, g in hank:
-            ref = -0.5j / (2 * math.pi) ** a * hankel1(a, R) / R ** a
-            assert abs(g - ref) <= 1e-10 * abs(ref)
+        for R, _, re, im in hank:
+            c = 0.5 / (2 * math.pi) ** a / R ** a
+            assert re == pytest.approx(c * yv(a, R), rel=1e-10)
+            assert im == pytest.approx(-c * jv(a, R), rel=1e-10)
 
 
 class TestInvalidInputExitCodes:
@@ -371,8 +407,13 @@ class TestInvalidInputExitCodes:
     def test_config_error(self, tmp_path, capsys, command, config):
         code, out = run(tmp_path, command, config)
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
         assert not any(out.glob("*.csv"))
+        # a count out of its range names the range
+        for key, value in parse_config(tmp_path / "config.txt").items():
+            if key in COUNT_BOUNDS and not 1 <= int(value) <= COUNT_BOUNDS[key]:
+                assert f"{key} must lie in [1, {COUNT_BOUNDS[key]}], got {value}" in err
 
     @pytest.mark.parametrize("row", ["0.0,1,2", "0.0,abc"])
     def test_malformed_fit_data(self, tmp_path, capsys, row):

@@ -77,8 +77,10 @@ class TestGreenFree:
         assert abs(residual) / abs(g(x0, y0, z0)) < 1e-4
 
     def test_coincident_points_rejected(self):
-        with pytest.raises(SingularityError):
-            green_free([0, 0, 0], [0, 0, 0], 0.5)
+        # one typed error for R = 0 across the free closed forms
+        for closed_form in (green_free, density_D_free, time_of_flight_free):
+            with pytest.raises(SingularityError, match="coincident"):
+                closed_form([0, 0, 0], [0, 0, 0], 0.5)
 
     def test_nonpositive_energy_rejected(self):
         with pytest.raises(DomainError):
@@ -260,6 +262,21 @@ class TestHyperConfig:
         rp = [[0, 0, 0], [0, 0, 0]]
         lhs = 1.0 * 1.0 + 2.0 * 1.0
         assert 0.7 * cfg.hyper_separation(r, rp) ** 2 == pytest.approx(lhs)
+
+    def test_norms_scale_before_they_square(self):
+        # squaring 1e200 first overflowed, though the norm is representable
+        cfg = hyper_config([1.0, 1.0], 1.0, 0.5)
+        assert cfg.hyper_radius([[1e200, 0, 0], [0, 0, 0]]) == 1e200
+        assert cfg.hyper_separation([[3e200, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, -4e200, 0]]) \
+            == pytest.approx(5e200, rel=1e-15)
+        assert characteristic_time_N([1.0, 2.0], [1e200, 1.0], 0.5) == 1e200
+        # beyond the float range: a DomainError that names the quantity
+        with pytest.raises(DomainError, match="mass-weighted distance"):
+            cfg.hyper_radius([[1.5e308, 0, 0], [0, 1.5e308, 0]])
+        with pytest.raises(DomainError, match="mass-weighted distance"):
+            cfg.hyper_separation([[1e308, 0, 0], [0, 0, 0]], [[-1e308, 0, 0], [0, 0, 0]])
+        with pytest.raises(DomainError, match="characteristic time"):
+            characteristic_time_N([1.0], [1e300], 1e-300)
 
     @pytest.mark.parametrize("masses, mu, E", [
         ([1.0, math.nan], 1.0, 0.5), ([1.0, math.inf], 1.0, 0.5), ([1.0, 0.0], 1.0, 0.5),
