@@ -106,9 +106,9 @@ class Grid:
     def meshgrid(self) -> list[np.ndarray]:
         return np.meshgrid(*self.axes(), indexing="ij", sparse=True)
 
-    def points(self) -> np.ndarray:
-        """Every grid point as a row of coordinates, in C order: shape (prod n, d)."""
-        return np.stack([a.ravel() for a in np.meshgrid(*self.axes(), indexing="ij")], axis=-1)
+    def coordinate_columns(self) -> list[np.ndarray]:
+        """One column per axis: that coordinate of every grid point, in C order."""
+        return [a.ravel() for a in np.meshgrid(*self.axes(), indexing="ij")]
 
     def conjugate(self) -> "Grid":
         """Momentum grid of the discrete transform: dx dp N = 2 pi hbar."""
@@ -539,7 +539,7 @@ def _write_csv(path, header: str, columns, comment: str | None = None,
 
 def field_to_csv(field: ComplexField, path, comment: str | None = None) -> None:
     """Columns: one coordinate per axis, then re, im."""
-    cols = [*field.grid.points().T, field.values.real.ravel(), field.values.imag.ravel()]
+    cols = [*field.grid.coordinate_columns(), field.values.real.ravel(), field.values.imag.ravel()]
     header = ",".join(f"x{i}" for i in range(field.grid.dimension)) + ",re,im"
     _write_csv(path, header, cols, comment)
 

@@ -186,4 +186,4 @@ def density_to_csv(grid: Grid, density: np.ndarray, path, comment: str | None = 
     if density.size != n_rows:
         raise ShapeError(f"{density.size} density values for a grid of {n_rows} points")
     header = ",".join(f"x{i}" for i in range(grid.dimension)) + ",density"
-    _write_csv(path, header, [*grid.points().T, density], comment)
+    _write_csv(path, header, [*grid.coordinate_columns(), density], comment)

@@ -308,5 +308,5 @@ def it_field_uniform(momentum_field: ComplexField, r_grid: Grid, t: float, tau: 
     Uses the closed-form stationary momentum, so it is fast enough for full
     grids.  With F = None this is the free imaging map.
     """
-    vals = _it_map(momentum_field, r_grid.points(), t, tau, m, F)[2]
+    vals = _it_map(momentum_field, np.stack(r_grid.coordinate_columns(), -1), t, tau, m, F)[2]
     return ComplexField(r_grid, POSITION, vals.reshape(tuple(r_grid.n)), t)

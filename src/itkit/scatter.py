@@ -194,11 +194,11 @@ def characteristic_time_N(masses, displacements, E: float) -> float:
 
 
 def _weighted_norm(name: str, weights, divisor: float, x, x_prime=0.0) -> float:
-    """sqrt(sum weights (x - x')^2 / divisor) over every element, by ``math.hypot``, which
-    scales before it squares: only a result beyond the float range is a DomainError naming
-    ``name``.  A term that overflows makes the result infinite, so it is refused too."""
+    """sqrt(sum weights (x - x')^2 / divisor) over every element: ``math.hypot`` of the terms
+    sqrt(w) / sqrt(divisor) (x - x'), whose scale is finite for a normal divisor, so only a
+    result beyond the float range (or one term beyond it) is a DomainError naming ``name``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.sqrt(weights / divisor) * (x - x_prime)
+        scaled = np.sqrt(weights) / math.sqrt(divisor) * (x - x_prime)
     norm = math.hypot(*scaled.ravel().tolist())
     finite(**{name: norm})
     return norm

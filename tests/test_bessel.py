@@ -37,8 +37,10 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("z", np.geomspace(0.05, 200.0, 12).tolist() + [500.0, 2000.0])
     def test_each_component_against_scipy(self, z):
-        # J and Y each to their own relative accuracy, at orders 0 to 120 and
-        # at orders just past z; hankel1 is no J oracle where |Y| >> |J|
+        # J and Y each to their own relative accuracy where the order passes z, at
+        # orders 0 to 120 and just past z; hankel1 is no J oracle where |Y| >> |J|.
+        # Below the order J and Y oscillate through zeros, so each is held to |H|
+        # there: scipy's own jv(89, 2000) is off by 1.3e-12 |H| (mpmath)
         orders = np.arange(0.0, 120.5, 0.5).tolist() + [math.floor(z) + d for d in (0.5, 1, 2, 10)]
         for order in orders:
             j, y = sp.jv(order, z), sp.yv(order, z)
@@ -47,10 +49,11 @@ class TestAgainstReference:
             except DomainError:  # |Y| beyond the float range
                 assert not math.isfinite(y)
                 continue
+            tol = 0.0 if order > z else 1e-11 * abs(complex(j, y))
             if abs(j) > 1e-290:  # below that scipy's J loses digits to underflow
-                assert h.real == pytest.approx(j, rel=1e-10), (order, z)
+                assert h.real == pytest.approx(j, rel=1e-10, abs=tol), (order, z)
             if math.isfinite(y):
-                assert h.imag == pytest.approx(y, rel=1e-9), (order, z)
+                assert h.imag == pytest.approx(y, rel=1e-9, abs=tol), (order, z)
 
     @pytest.mark.parametrize("order", ALL_ORDERS)
     def test_j_keeps_relative_accuracy_below_the_asymptotic_range(self, order):

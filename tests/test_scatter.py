@@ -270,6 +270,11 @@ class TestHyperConfig:
         assert cfg.hyper_separation([[3e200, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, -4e200, 0]]) \
             == pytest.approx(5e200, rel=1e-15)
         assert characteristic_time_N([1.0, 2.0], [1e200, 1.0], 0.5) == 1e200
+        # a weight over the divisor beyond the float range, with a representable result
+        assert hyper_config([1e300, 1.0], 1e-10, 0.5).hyper_radius([[0, 0, 0], [1, 0, 0]]) \
+            == pytest.approx(1e5, rel=1e-15)
+        assert characteristic_time_N([1e10], [1.0], 1e-300) == \
+            pytest.approx(math.sqrt(5e9) * 1e150, rel=1e-15)
         # beyond the float range: a DomainError that names the quantity
         with pytest.raises(DomainError, match="mass-weighted distance"):
             cfg.hyper_radius([[1.5e308, 0, 0], [0, 1.5e308, 0]])
