@@ -37,19 +37,20 @@ class DetectorPatch:
     def __post_init__(self):
         r = np.array(self.position, dtype=float, ndmin=1)
         _freeze(self, position=r)
-        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused here
-            R = np.linalg.norm(r)
+        R = math.hypot(*r)  # scales before it squares: no overflow below the float range
         finite(**{"|position|": R})
         if not R > MACROSCOPIC_RADIUS:
             raise DomainError(
                 f"detector must sit beyond {MACROSCOPIC_RADIUS:g} a.u. from the reaction volume"
             )
         positive(solid_angle=self.solid_angle, radial_extent=self.radial_extent)
+        # Python floats: an overflowing volume becomes inf without a warning
+        finite(volume=self.volume)
 
     @property
     def volume(self) -> float:
-        r = float(np.linalg.norm(self.position))
-        return r * r * self.solid_angle * self.radial_extent
+        r = math.hypot(*self.position)
+        return (r * self.solid_angle) * (r * self.radial_extent)
 
 
 @dataclass(frozen=True)

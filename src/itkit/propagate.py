@@ -190,8 +190,10 @@ def interpolate_field(field: ComplexField, points: np.ndarray,
                       fill: complex | None = None) -> np.ndarray:
     """Not-a-knot cubic tensor spline of the field values at off-grid points.
 
-    The spline is exact at the grid nodes in every dimension.  The field
-    builds it on the first call and keeps it for later ones.  ``points`` has
+    The spline is itkit's own, on the uniform grid: one Toeplitz solve per
+    axis, with numpy alone, and a 4-point stencil per axis to evaluate.  It is
+    exact at the grid nodes in every dimension.  The field builds it on the
+    first call and keeps it for later ones.  ``points`` has
     shape (..., d) for a grid of d axes; any other last axis raises a shape
     error.  Points outside the grid raise a support error unless ``fill`` is
     given (useful when the field has decayed to zero at its edges).
@@ -207,7 +209,7 @@ def interpolate_field(field: ComplexField, points: np.ndarray,
     if fill is None and not np.all(inside):
         raise SupportError(f"point {points[~inside][0]} lies outside the grid support")
     q = np.clip(points, lo, hi)
-    out = field._spline(q[..., 0]) if d == 1 else field._spline(q)
+    out = field._spline_at(q)
     # without a fill every point is inside; np.where with None would give objects
     return out if fill is None else np.where(inside, out, fill)
 

@@ -142,7 +142,7 @@ class TestFieldAndDensity:
         assert_same_bytes(tmp_path, density_to_csv, ref_density_to_csv, grid, dens)
 
 
-class TestDensityCoordinateMemo:
+class TestDensityWritesInTurn:
     """Density files written in turn, on one grid or on grids that differ in
     one coordinate: every write gives the reference bytes, whichever grid
     came before."""

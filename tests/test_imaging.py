@@ -230,6 +230,20 @@ class TestDetectionProbability:
         patch = DetectorPatch([2000.0], 1e-4, 0.5)
         assert patch.volume == pytest.approx(2000.0 ** 2 * 1e-4 * 0.5)
 
+    @pytest.mark.parametrize("position", [[1e200, 0.0, 0.0], [0.0, -6e199, 8e199]])
+    def test_distance_beyond_the_square_root_of_the_float_range(self, position):
+        # |r| = 1e200 squares past the float range; r^2 dOmega dr = 1e147 does not
+        patch = DetectorPatch(position, 1e-3, 1e-250)
+        assert patch.volume == pytest.approx(1e147, rel=1e-14)
+        # with dOmega dr = 1e-3 the volume itself, 1e397, leaves the range
+        with pytest.raises(DomainError, match="volume"):
+            DetectorPatch(position, 1e-3, 1.0)
+
+    def test_volume_up_to_the_float_range(self):
+        assert DetectorPatch([1e154, 0.0, 0.0], 1e-3, 1.0).volume == pytest.approx(1e305)
+        with pytest.raises(DomainError, match="volume"):
+            DetectorPatch([1e160, 0.0, 0.0], 1e-3, 1.0)
+
 
 class TestInversion:
     def test_arithmetic_example(self):

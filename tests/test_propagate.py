@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itkit.classical import action_S_tilde_uniform, stationary_momentum
 from itkit.core import (
@@ -410,6 +412,34 @@ class TestUniformFieldMap:
             it_field_uniform(phi, rg, 100.0, 0.0, 1.0)
 
 
+def scipy_spline(field):
+    """The oracle: scipy's not-a-knot cubic tensor spline of ``field``, on (k, d) points."""
+    from scipy.interpolate import NdBSpline, make_interp_spline
+
+    coeffs, knots = field.values, []
+    for ax, nodes in enumerate(field.grid.axes()):
+        spline = make_interp_spline(nodes, coeffs, k=3, axis=ax)
+        coeffs = np.moveaxis(spline.c, 0, ax)
+        knots.append(spline.t)
+    if field.grid.dimension == 1:
+        return lambda pts: spline(pts[:, 0])
+    return NdBSpline(tuple(knots), coeffs, 3)
+
+
+@st.composite
+def spline_cases(draw):
+    """Grid shape, spacing, origin and a value seed: d = 1..3, 8..600 nodes per
+    axis and at most 20,000 in all."""
+    d = draw(st.integers(1, 3))
+    n = []
+    for ax in range(d):
+        room = 20_000 // (math.prod(n) * 8 ** (d - 1 - ax))
+        n.append(draw(st.integers(8, min(600, room))))
+    spacing = [draw(st.floats(1e-3, 1e2)) for _ in range(d)]
+    origin = [h * draw(st.floats(-64.0, 64.0)) for h in spacing]
+    return tuple(n), tuple(spacing), tuple(origin), draw(st.integers(0, 2 ** 32 - 1))
+
+
 class TestInterpolateField:
     def test_1d_refuses_extra_columns(self):
         # the 1-D spline must not answer from the first column alone
@@ -461,13 +491,44 @@ class TestInterpolateField:
         assert err < 1e-13
 
     def test_1d_is_the_bspline(self):
-        from scipy.interpolate import make_interp_spline
-
         phi = sample_gaussian(GaussianPacketSpec([1.0], [0.25]), centered_grid_1d(4.0, 256, 1.0),
                               MOMENTUM)
-        pts = np.linspace(-0.9, 2.9, 301)
-        spline = make_interp_spline(phi.grid.axis(0), phi.values, k=3)
-        assert np.array_equal(interpolate_field(phi, pts[:, None]), spline(pts))
+        pts = np.linspace(-0.9, 2.9, 301)[:, None]
+        err = np.abs(interpolate_field(phi, pts) - scipy_spline(phi)(pts))
+        assert np.max(err) <= 1e-13 * np.max(np.abs(phi.values))
+
+    @settings(deadline=None)
+    @given(spline_cases())
+    def test_matches_scipy_oracle(self, case):
+        # random complex values, scaled to max |value| = 1; the origin lies within
+        # 64 spacings of 0, because scipy's spline sits on the rounded float64
+        # nodes and itkit's on the uniform grid: for values that change by O(1)
+        # from node to node the two differ by about ulp(|x|)/spacing
+        n, spacing, origin, seed = case
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=n) + 1j * rng.normal(size=n)
+        field = ComplexField(Grid(n, spacing, origin), POSITION, values / np.abs(values).max())
+        nodes = np.stack(field.grid.coordinate_columns(), axis=-1)
+        assert np.max(np.abs(interpolate_field(field, nodes) - field.values.ravel())) <= 1e-13
+        pts = np.stack([rng.uniform(*field.grid.bounds(ax), 200) for ax in range(len(n))], -1)
+        assert np.max(np.abs(interpolate_field(field, pts) - scipy_spline(field)(pts))) <= 1e-13
+
+    def test_long_axis_far_from_zero(self):
+        # 32,768 nodes from x = 1e4: t = (x - origin)/h - i, not taken from the
+        # bracketing nodes, differs by up to 1e-11 here and misses the oracle by 2.3e-13
+        grid = Grid((32768,), (0.3,), (1e4,))
+        x = grid.axis(0)
+        field = ComplexField(grid, POSITION,
+                             np.exp(-((x - x[10922]) / 1500.0) ** 2 + 0.2j * (x - x[10922])))
+        assert np.max(np.abs(interpolate_field(field, x[:, None]) - field.values)) <= 1e-13
+        pts = np.linspace(x[0], x[-1], 100003)[:, None]
+        assert np.max(np.abs(interpolate_field(field, pts) - scipy_spline(field)(pts))) <= 1e-13
+
+    def test_unresolved_spacing_is_refused(self):
+        # 1e4 + 1e-13 i rounds several nodes to one float64: no interval to place t in
+        field = ComplexField(Grid((16,), (1e-13,), (1e4,)), POSITION, np.ones(16))
+        with pytest.raises(DomainError):
+            interpolate_field(field, [[1e4]])
 
     @pytest.mark.parametrize("n", [(256,), (12, 13, 14)])
     def test_spline_built_once_per_field(self, axis_solves, n):

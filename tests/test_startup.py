@@ -1,9 +1,10 @@
 """Start-up guards: each command imports only the scipy it runs, and the
 README's config for each command runs.
 
-Importing ``itkit.cli`` must load no scipy module, and ``xsec``, ``greens``,
-``delays`` and a ``coincidence`` simulation must finish without one: delay
-inversion is a plain-float Newton solve that needs no ``scipy.optimize``.
+Importing ``itkit.cli`` must load no scipy module, and ``it-check``, ``xsec``,
+``greens``, ``delays`` and a ``coincidence`` simulation must finish without
+one: delay inversion is a plain-float Newton solve that needs no
+``scipy.optimize``, and the field spline is itkit's own, with numpy alone.
 Every check runs in a fresh interpreter, because by the time these tests
 run the pytest process has imported scipy through other test modules.  The
 same fresh interpreters make a first call through each function-local scipy
@@ -110,6 +111,7 @@ def run_command(tmp_path, command: str, config_text: str) -> tuple[int, list[str
 
 
 @pytest.mark.parametrize("command, config_text", [
+    pytest.param("it-check", README_CONFIGS["it-check"], id="it-check"),
     pytest.param("xsec", README_CONFIGS["xsec"], id="xsec"),
     pytest.param("greens", README_CONFIGS["greens"], id="greens"),
     pytest.param("greens", GREENS_N4, id="greens_n4"),
@@ -122,8 +124,9 @@ def test_command_loads_no_scipy(tmp_path, command, config_text):
     assert loaded == []
 
 
-# first calls through each deferred import, each checked against a known
-# property, with the scipy module the call has to load
+# first calls of the functions that load scipy, or once did, each checked
+# against a known property, with the scipy module the call has to load (None:
+# it must load none)
 FIRST_CALLS = {
     "fit_pair_model": ("scipy.optimize", """
 from itkit.coincidence import PairGeometry, PairModelParams, fit_pair_model, synthesize_dataset
@@ -140,7 +143,7 @@ psi = sample_gaussian(GaussianPacketSpec([1.0], [0.25], [0.0]),
 out = evolve_split_operator(psi, EvolutionSpec(1.0, 0.0, 50.0, 10, UniformField([1e-3])))
 print(abs(out.norm() - psi.norm()) < 1e-9)
 """),
-    "interpolate_field": ("scipy.interpolate", """
+    "interpolate_field": (None, """
 import numpy as np
 from itkit import GaussianPacketSpec, MOMENTUM, centered_grid_1d, sample_gaussian
 from itkit.propagate import interpolate_field
@@ -156,4 +159,4 @@ def test_first_call_through_deferred_import(name):
     module, script = FIRST_CALLS[name]
     out, loaded = fresh(script)
     assert out.splitlines()[-1] == "True"
-    assert module in loaded
+    assert loaded == [] if module is None else module in loaded
