@@ -18,6 +18,7 @@ import math
 import sys
 import warnings
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -355,7 +356,9 @@ COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="itkit", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, type=Path)
@@ -365,7 +368,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="interpret the 'energy' key in eV and convert")
     parser.add_argument("--cm", action="store_true",
                         help="interpret distance keys in cm and convert")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         raw = parse_config(args.config)
         cfg = Config(raw, ev=args.ev, cm=args.cm)

@@ -12,7 +12,8 @@ with Poisson noise and fit back.
 In strict back-to-back geometry the curve depends on (sigma, Sigma) only
 through kappa = 1/Sigma^2 - 1/(4 sigma^2) plus an overall scale, so the
 fit works in (kappa, log scale) and resolves the flat direction by holding
-Sigma at its initial value.
+Sigma at its initial value.  The fit is a two-parameter Levenberg-Marquardt
+loop after MINPACK's lmder, in numpy alone: nothing here loads scipy.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
 # numpy's Poisson sampler refuses a mean above ~9.2e18
 MAX_EVENTS = 1e18
+# the pair fit's stopping tolerance and evaluation budget
+LM_TOL = 1e-14
+LM_MAX_NFEV = 2000
 
 
 @dataclass(frozen=True)
@@ -316,12 +320,114 @@ def _weighted_residuals(p1, p2, distance: float, counts, w):
     return resid, jac
 
 
+def _damped_step(mu, q, radius: float):
+    """Damping lam >= 0 and the step z = -q / (mu + lam), at most about ``radius`` long.
+
+    mu are the eigenvalues of the scaled normal matrix and q the gradient
+    along its eigenvectors, two floats each.  lam is 0 when the Gauss-Newton
+    step fits in the radius; otherwise Newton's method on 1/|z(lam)| -
+    1/radius, which is increasing and concave in lam, climbs to a length
+    within 10% of the radius, as MINPACK's lmpar does.
+    """
+    mu = [m if g else 1.0 for m, g in zip(mu, q)]  # no step without gradient
+    lam = 0.0
+    for _ in range(10):
+        z = [-g / (m + lam) if m + lam > 0.0 else -math.copysign(math.inf, g)
+             for m, g in zip(mu, q)]
+        length = math.hypot(*z)
+        if length <= radius or (lam > 0.0 and length <= 1.1 * radius):
+            return lam, z
+        # each |z_i| = |q_i| / (mu_i + lam) must fit in the radius on its own
+        bound = max(abs(g) / radius - m for m, g in zip(mu, q))
+        if math.isinf(length):
+            lam = bound
+            continue
+        newton = lam + (length - radius) / (
+            radius * sum((zi / length) ** 2 / (m + lam) for zi, m in zip(z, mu)))
+        lam = max(newton, bound) if math.isfinite(newton) else bound
+    lam = math.hypot(*q) / radius  # then |z| <= |q| / lam = radius
+    return lam, [-g / (m + lam) for m, g in zip(mu, q)]
+
+
+def _levenberg_marquardt(resid, jac, x0) -> np.ndarray:
+    """Minimize |resid(x)|^2 over two parameters from x0 by Levenberg-Marquardt.
+
+    A trial step solves the damped normal equations (J^T J + lam D^2) dx =
+    -J^T r with Marquardt's scaling D^2 = diag(J^T J), lam set by a trust
+    radius on |D dx| as in MINPACK's lmder (More 1978): the radius doubles
+    after a trial that does as well as predicted and shrinks, up to tenfold,
+    after one that does not or whose residual is not finite (the model may
+    overflow), so that lam grows.  A trial that lowers chi^2 by at least
+    1e-4 of the predicted amount is taken.  The stops are lmder's at LM_TOL:
+    actual and predicted relative reductions of chi^2 both below it, a trust
+    radius below it relative to |D x|, or a gradient whose cosine with each
+    Jacobian column is below it.  When no step lowers chi^2 as lam grows,
+    the gradient is zero: the shrinking radius meets the step test.  More
+    than LM_MAX_NFEV residual evaluations is a FitError.
+    """
+    x = np.array(x0, dtype=float)
+    r = resid(x)
+    chi2 = float(r @ r)
+    if not math.isfinite(chi2):
+        raise FitError("the pair model is not finite at the initial parameters")
+    half = math.sqrt(0.5)
+    nfev, radius = 1, None
+    while True:
+        # column norms by hypot, which neither under- nor overflows: u and v
+        # are unit vectors
+        J = jac(x)
+        d = np.hypot.reduce(J, axis=0)
+        d[d == 0.0] = 1.0
+        u, v = (J / d).T
+        d = d.tolist()
+        if not max(abs(float(u @ r)), abs(float(v @ r))) > LM_TOL * math.sqrt(chi2):
+            return x
+        # in y = D dx the normal matrix is [[1, b], [b, 1]] with b = u.v; its
+        # eigenvectors (1, +-1)/sqrt(2) map to (u +- v)/sqrt(2), whose squared
+        # norms, the eigenvalues, stay accurate as the columns align
+        plus, minus = u + v, u - v
+        mu = [0.5 * float(plus @ plus), 0.5 * float(minus @ minus)]
+        q = [half * float(plus @ r), half * float(minus @ r)]
+        xnorm = math.hypot(d[0] * x[0], d[1] * x[1])
+        if radius is None:
+            radius = 100.0 * xnorm or 100.0
+        while True:
+            if nfev >= LM_MAX_NFEV:
+                raise FitError(f"the pair fit did not converge in {LM_MAX_NFEV} evaluations")
+            lam, (zp, zm) = _damped_step(mu, q, radius)
+            step = math.hypot(zp, zm)
+            trial = x + np.array([half * (zp + zm) / d[0], half * (zp - zm) / d[1]])
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_trial = resid(trial)
+                chi2_trial = float(r_trial @ r_trial)
+            nfev += 1
+            # -1 where |r| grew tenfold or is not finite
+            actual = 1.0 - chi2_trial / chi2 if chi2_trial < 100.0 * chi2 else -1.0
+            predicted = ((mu[0] + 2.0 * lam) * zp * zp + (mu[1] + 2.0 * lam) * zm * zm) / chi2
+            ratio = actual / predicted if predicted > 0.0 else 0.0
+            if ratio <= 0.25:
+                # lmder's shrink: the minimum of a quadratic along the step
+                slope = ((mu[0] + lam) * zp * zp + (mu[1] + lam) * zm * zm) / chi2
+                shrink = 0.5 if actual >= 0.0 else 0.5 * slope / (slope - 0.5 * actual)
+                radius = max(shrink, 0.1) * min(radius, 10.0 * step)
+            elif lam == 0.0 or ratio >= 0.75:
+                radius = 2.0 * step
+            if ratio >= 1e-4:
+                x, r, chi2 = trial, r_trial, chi2_trial
+                xnorm = math.hypot(d[0] * x[0], d[1] * x[1])
+            if ((abs(actual) <= LM_TOL and predicted <= LM_TOL and ratio <= 2.0)
+                    or radius <= LM_TOL * xnorm):
+                return x
+            if ratio >= 1e-4:
+                break
+
+
 def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
     """Weighted least-squares fit of the pair model to a coincidence histogram.
 
     Counting weights are 1/sqrt(max(count, 1)).  Because back-to-back data
-    constrain only kappa and the scale, the optimizer works in those two
-    parameters, on the model's exact Jacobian; sigma is then recovered
+    constrain only kappa and the scale, the Levenberg-Marquardt loop works in
+    those two parameters, on the model's exact Jacobian; sigma is then recovered
     holding Sigma at its initial value (or Sigma is moved if that leaves no
     positive sigma^2).  Returns (params, scale, result dict) with the
     (sigma, Sigma, scale) covariance from the fit's own Jacobian, carried to
@@ -344,17 +450,14 @@ def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
     scale0 = log0 + math.log(max(counts.max() / model0.max(), 1e-300))
 
     resid, jac = _weighted_residuals(p1, p2, g.distance, counts, w)
-
-    # imported here, not at module level: scipy.optimize is ~0.5 s of start-up
-    from scipy.optimize import least_squares
-
-    # a trial step may overflow the model; LM rejects it and shortens the step
-    with np.errstate(over="ignore"):
-        sol = least_squares(resid, x0=[kappa0, scale0], jac=jac, method="lm", xtol=1e-14,
-                            ftol=1e-14, gtol=1e-14, max_nfev=2000)
-    if not sol.success:
-        raise FitError(f"least squares did not converge: {sol.message}")
-    kappa_hat, log_scale_hat = sol.x
+    x_hat = _levenberg_marquardt(resid, jac, (kappa0, scale0))
+    kappa_hat, log_scale_hat = x_hat
+    chi2 = float(np.sum(resid(x_hat) ** 2))
+    # any model that overlaps the counts does better than none at all: one
+    # that does not has vanished on their rows, and the loop stopped there
+    if not chi2 < float(np.sum((w * counts) ** 2)):
+        raise FitError("the fitted model vanishes where the counts are: "
+                       "it fits no better than zero counts")
 
     # back out widths, pinning the flat direction at the initial Sigma
     inv4s2 = 1.0 / initial.Sigma ** 2 - kappa_hat
@@ -369,7 +472,6 @@ def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
     if not abs(log_scale_hat) < math.log(np.finfo(float).max):
         raise FitError(f"fitted log(scale) = {log_scale_hat:.6g} leaves the float range")
     scale = math.exp(log_scale_hat)
-    chi2 = float(np.sum(resid(sol.x) ** 2))
     dof = max(len(counts) - 2, 1)
 
     # covariance of (sigma, Sigma, scale): the chain rule through kappa(sigma, Sigma)
@@ -378,7 +480,7 @@ def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
     chain = np.array([[0.5 / s ** 3, -2.0 / S ** 3, 0.0],
                       [0.5 * mE / s ** 3 - 3.0 / s, 2.0 * mE / S ** 3 - 3.0 / S, 1.0 / scale]])
     with np.errstate(over="ignore", invalid="ignore"):
-        full_jac = jac(sol.x) @ chain
+        full_jac = jac(x_hat) @ chain
         info = full_jac.T @ full_jac
     if not np.all(np.isfinite(info)):
         raise FitError("the (sigma, Sigma, scale) covariance leaves the float range")

@@ -2,13 +2,15 @@
 README's config for each command runs.
 
 Importing ``itkit.cli`` must load no scipy module, and ``it-check``, ``xsec``,
-``greens``, ``delays`` and a ``coincidence`` simulation must finish without
-one: delay inversion is a plain-float Newton solve that needs no
-``scipy.optimize``, and the field spline is itkit's own, with numpy alone.
-Every check runs in a fresh interpreter, because by the time these tests
-run the pytest process has imported scipy through other test modules.  The
-same fresh interpreters make a first call through each function-local scipy
-import, which no other test can reach before scipy is already loaded.
+``greens``, ``delays`` and a ``coincidence`` simulation and fit must finish
+without one: delay inversion is a plain-float Newton solve, the pair fit is
+itkit's own Levenberg-Marquardt loop, and the field spline is itkit's own,
+all with numpy alone.  ``evolve_split_operator`` is the only scipy user
+left, through ``scipy.fft``.  Every check runs in a fresh interpreter,
+because by the time these tests run the pytest process has imported scipy
+through other test modules.  The same fresh interpreters make a first call
+through each function that loads scipy, or once did, which no other test
+can reach before scipy is already loaded.
 
 ``itkit.bessel`` computes the Hankel function in pure Python, not with
 ``scipy.special.hankel1``: importing ``scipy.special`` raises the resident
@@ -53,6 +55,10 @@ def readme_configs() -> dict[str, str]:
 README_CONFIGS = readme_configs()
 # an integer-order greens scan, beside the README's half-integer one (N = 1)
 GREENS_N4 = "n_particles = 4\nenergy = 0.5\nr_min = 0.2\nr_max = 100.0\nn_r = 50\n"
+# a coincidence dataset, simulated and then fit from the output directory
+COINCIDENCE_SIMULATE = ("mode = simulate\ndistance = 1.0\nenergy = 8.0\n"
+                        "sigma = 1.0\nSigma = 10.0\nn_events = 20000\n")
+COINCIDENCE_FIT = "mode = fit\ndistance = 1.0\nenergy = 8.0\ndata = {out}/dataset.csv\n"
 
 # appended to every script: the scipy modules loaded, as the last stdout line
 REPORT_SCIPY = (
@@ -102,25 +108,34 @@ def test_import_cli_builds_no_g17_table():
     assert json.loads(out.splitlines()[-1]) == [[], 0, 0]
 
 
-def run_command(tmp_path, command: str, config_text: str) -> tuple[int, list[str]]:
-    config = tmp_path / f"{command}.txt"
-    config.write_text(config_text)
-    out, loaded = fresh("import sys\nfrom itkit import cli\nprint(cli.main(sys.argv[1:]))",
-                        command, "--config", str(config), "--out", str(tmp_path / "out"))
-    return int(out.splitlines()[-1]), loaded
+def run_command(tmp_path, command: str, *config_texts: str) -> tuple[list[int], list[str]]:
+    """Run ``command`` once per config, in turn, in one fresh interpreter, all
+    writing to one directory, which replaces ``{out}`` in the configs; return
+    the exit codes and the scipy modules loaded."""
+    out_dir, configs = tmp_path / "out", []
+    for k, text in enumerate(config_texts):
+        configs.append(tmp_path / f"{command}{k}.txt")
+        configs[-1].write_text(text.replace("{out}", str(out_dir)))
+    out, loaded = fresh(
+        "import sys\nfrom itkit import cli\n"
+        "print([cli.main([sys.argv[1], '--out', sys.argv[2], '--config', config])\n"
+        "       for config in sys.argv[3:]])",
+        command, str(out_dir), *map(str, configs))
+    return json.loads(out.splitlines()[-1]), loaded
 
 
-@pytest.mark.parametrize("command, config_text", [
-    pytest.param("it-check", README_CONFIGS["it-check"], id="it-check"),
-    pytest.param("xsec", README_CONFIGS["xsec"], id="xsec"),
-    pytest.param("greens", README_CONFIGS["greens"], id="greens"),
-    pytest.param("greens", GREENS_N4, id="greens_n4"),
-    pytest.param("coincidence", README_CONFIGS["coincidence"], id="coincidence"),
-    pytest.param("delays", README_CONFIGS["delays"], id="delays"),
+@pytest.mark.parametrize("command, config_texts", [
+    pytest.param("it-check", [README_CONFIGS["it-check"]], id="it-check"),
+    pytest.param("xsec", [README_CONFIGS["xsec"]], id="xsec"),
+    pytest.param("greens", [README_CONFIGS["greens"]], id="greens"),
+    pytest.param("greens", [GREENS_N4], id="greens_n4"),
+    pytest.param("coincidence", [README_CONFIGS["coincidence"]], id="coincidence"),
+    pytest.param("coincidence", [COINCIDENCE_SIMULATE, COINCIDENCE_FIT], id="coincidence_fit"),
+    pytest.param("delays", [README_CONFIGS["delays"]], id="delays"),
 ])
-def test_command_loads_no_scipy(tmp_path, command, config_text):
-    code, loaded = run_command(tmp_path, command, config_text)
-    assert code == 0
+def test_command_loads_no_scipy(tmp_path, command, config_texts):
+    codes, loaded = run_command(tmp_path, command, *config_texts)
+    assert codes == [0] * len(config_texts)
     assert loaded == []
 
 
@@ -128,7 +143,7 @@ def test_command_loads_no_scipy(tmp_path, command, config_text):
 # against a known property, with the scipy module the call has to load (None:
 # it must load none)
 FIRST_CALLS = {
-    "fit_pair_model": ("scipy.optimize", """
+    "fit_pair_model": (None, """
 from itkit.coincidence import PairGeometry, PairModelParams, fit_pair_model, synthesize_dataset
 geometry = PairGeometry(1.0, 1.0)
 ds = synthesize_dataset(geometry, PairModelParams(1.0, 10.0), 8.0, 30000, seed=1)
