@@ -3,9 +3,8 @@
 Covers free motion and motion in a uniform (constant-force) field, the two
 asymptotic regimes where the position action S(r, r'; T), its mixed
 Legendre partner S~(p, r; T) and the fixed-energy characteristic action
-W(r, r'; E) all have closed forms.  Free motion is the F = None case of
-the uniform-field actions.  Van Vleck trajectory densities C and D are
-provided both analytically and by finite differences.
+W(r, r'; E) all have closed forms, as do the Van Vleck trajectory densities
+C and D.  Free motion is the F = None case of the uniform-field actions.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ import numpy as np
 from .core import UniformField, _freeze, _write_csv
 from .errors import (CausticError, DomainError, ShapeError, SingularityError, finite,
                      nonnegative, positive)
-
-FD_REL_STEP = 1e-5
 
 
 def _vec(x) -> np.ndarray:
@@ -146,8 +143,8 @@ def stationary_momentum(r, r_prime, T: float, m: float = 1.0, F=None) -> np.ndar
     """Launch momentum of the unique path from r' to r in time T.
 
     Free: p' = m (r - r') / T.  Uniform field adds -F T / 2.  ``r`` may
-    stack end points on leading axes (shape (..., d)); p' then has the
-    same shape.
+    stack end points on leading axes (shape (..., d)), and T and m may
+    broadcast against it (one per particle, say); p' has r's shape.
     """
     positive(T=T, m=m)
     r, r_prime = _vec(r), _vec(r_prime)
@@ -181,28 +178,6 @@ def van_vleck_time(m, T, dimension: int = 3) -> float:
         C = math.inf
     positive(van_vleck_factor=C)
     return C
-
-
-def van_vleck_numeric(momentum_map, r) -> float:
-    """|det dp'/dr| of a launch-momentum map by central differences.
-
-    ``momentum_map`` takes a final position vector and returns the launch
-    momentum p' of the trajectory bundle.  Raises CausticError when the
-    Jacobian is numerically singular (a conjugate point).
-    """
-    r = _vec(r)
-    finite(r=r)
-    d = len(r)
-    step = FD_REL_STEP * max(1.0, float(np.max(np.abs(r))))
-    jac = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = step
-        jac[:, j] = (_vec(momentum_map(r + e)) - _vec(momentum_map(r - e))) / (2.0 * step)
-    det = np.linalg.det(jac)
-    if not np.isfinite(det) or abs(det) < 1e-12:
-        raise CausticError("trajectory bundle is degenerate (det dp'/dr ~ 0)")
-    return float(abs(det))
 
 
 def characteristic_action_W_free(r, r_prime, E: float, m: float = 1.0) -> float:

@@ -162,11 +162,6 @@ def invert_delays_pair(tau, m: float = 1.0, E: float = 1.0):
     return p1, p2
 
 
-def _pair_residual(tau: float, p1: float, p2: float, m: float, E: float) -> float:
-    """Scaled delay equation residual for diagnostics and tests."""
-    return (math.sqrt(m * E) * (1.0 / p2 - 1.0 / p1) - tau) / max(1.0, abs(tau))
-
-
 def invert_delays_numeric(obs: DelayObservation) -> np.ndarray:
     """Solve the N delay equations for the fragment momenta.
 
@@ -254,7 +249,8 @@ def _reduced_curve(p1, p2, distance: float, kappa: float, log_scale: float) -> n
     On the energy shell p1^2 + p2^2 = 2mE the two Gaussian exponents
     collapse to kappa * p1 p2 plus constants, kappa = 1/Sigma^2 - 1/(4 sigma^2).
     """
-    return np.exp(log_scale + kappa * p1 * p2) * (p1 * p2 / distance ** 2) ** 3
+    # two divisions by r: a Python float's r ** 2 raises OverflowError past 1e154
+    return np.exp(log_scale + kappa * p1 * p2) * (p1 * p2 / distance / distance) ** 3
 
 
 def coincidence_curve(geometry: PairGeometry, params: PairModelParams, E: float,
@@ -265,16 +261,21 @@ def coincidence_curve(geometry: PairGeometry, params: PairModelParams, E: float,
     factor (p1' p2' / r^2)^3 times the model momentum density at the
     back-to-back vectors p1' z, -p2' z: the reduced model, scaled by the
     density's shell constant.  Returns (delta_t, p1, p2, P); ``normalize``
-    scales the peak to 1 without forming that constant, which may underflow.
+    scales the peak to 1 without forming that constant, which may underflow,
+    or using r, on which the scaled curve does not depend: sqrt(max p1' p2')
+    stands in for it, so (p1' p2' / r^2)^3 is at most 1 at any distance.
     """
     delta_t = np.atleast_1d(np.asarray(delta_t, dtype=float))
     finite(delta_t=delta_t)
     t0 = characteristic_time(geometry.mass, geometry.distance, E)
     p1, p2 = invert_delays_pair(delta_t / t0, geometry.mass, E)
     kappa = _kappa(params)
-    log_scale = (-float(np.max(kappa * p1 * p2)) if normalize
-                 else _log_shell_constant(geometry.mass * E, params))
-    prob = _reduced_curve(p1, p2, geometry.distance, kappa, log_scale)
+    if normalize:
+        distance = math.sqrt(float(np.max(p1 * p2)))
+        log_scale = -float(np.max(kappa * p1 * p2))
+    else:
+        distance, log_scale = geometry.distance, _log_shell_constant(geometry.mass * E, params)
+    prob = _reduced_curve(p1, p2, distance, kappa, log_scale)
     if normalize and prob.max() > 0:
         prob = prob / prob.max()
     return delta_t, p1, p2, prob
@@ -366,8 +367,9 @@ def _levenberg_marquardt(resid, jac, x0) -> np.ndarray:
     than LM_MAX_NFEV residual evaluations is a FitError.
     """
     x = np.array(x0, dtype=float)
-    r = resid(x)
-    chi2 = float(r @ r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = resid(x)
+        chi2 = float(r @ r)
     if not math.isfinite(chi2):
         raise FitError("the pair model is not finite at the initial parameters")
     half = math.sqrt(0.5)
@@ -444,10 +446,13 @@ def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
     t0 = characteristic_time(g.mass, g.distance, dataset.energy)
     p1, p2 = invert_delays_pair(dataset.delta_t / t0, g.mass, dataset.energy)
 
+    # the start matches the model's peak to the largest count, in logs: the
+    # model's two factors may each leave the float range
     kappa0 = _kappa(initial)
-    log0 = -float(np.max(kappa0 * p1 * p2))
-    model0 = _reduced_curve(p1, p2, g.distance, kappa0, log0)
-    scale0 = log0 + math.log(max(counts.max() / model0.max(), 1e-300))
+    pp = p1 * p2
+    with np.errstate(divide="ignore"):
+        log_peak = float(np.max(kappa0 * pp + 3.0 * np.log(pp)))
+    scale0 = math.log(counts.max()) + 6.0 * math.log(g.distance) - log_peak
 
     resid, jac = _weighted_residuals(p1, p2, g.distance, counts, w)
     x_hat = _levenberg_marquardt(resid, jac, (kappa0, scale0))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import van_vleck_time
+from .classical import stationary_momentum, van_vleck_time
 from .core import HBAR, ComplexField, Grid, _freeze, _write_csv
 from .errors import DomainError, ShapeError, finite, nonnegative, positive
 from .propagate import _it_map, _moments, interpolate_field, it_field_uniform
@@ -145,7 +145,7 @@ def many_particle_it(momentum_field: ComplexField, masses, times, positions) -> 
             f"joint momentum grid must have {n * d} axes, found {momentum_field.grid.dimension}"
         )
     vv = van_vleck_time(masses, times, d)
-    p_primes = (masses[:, None] / times[:, None]) * pos
+    p_primes = stationary_momentum(pos, 0.0, times[:, None], masses[:, None])
     phi = complex(interpolate_field(momentum_field, p_primes.reshape(1, -1), fill=0.0)[0])
     return vv * abs(phi) ** 2
 
@@ -163,7 +163,7 @@ def incident_amplitude(collimator_field: ComplexField, m: float, t_i: float, r_i
     d = collimator_field.grid.dimension
     if len(r_i) != d:
         raise ShapeError(f"r_i has {len(r_i)} coordinates, the collimator field {d} axes")
-    p_i = -m * r_i / t_i
+    p_i = stationary_momentum(0.0, r_i, t_i, m)  # the path from r_i into the reaction volume
     phi = complex(interpolate_field(collimator_field, p_i.reshape(1, -1), fill=0.0)[0])
     return np.exp(-1j * np.pi * d / 4.0) * (2.0 * np.pi * HBAR * m / t_i) ** (d / 2.0) * phi
 

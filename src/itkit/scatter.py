@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import hankel_h1
-from .classical import _free_path_length
+from .classical import _free_path_length, van_vleck_time
 from .core import HBAR, _edge_ratio, _freeze, _write_csv
 from .errors import (CausticError, CoverageError, DegenerateInputError, DomainError,
                      ShapeError, SingularityError, finite, nonnegative, positive)
@@ -211,9 +211,9 @@ def hyper_action(config: HyperConfig, separation: float) -> float:
 
 
 def vv_hyper(config: HyperConfig, separation: float) -> float:
-    """Van Vleck factor eta (P / dR)^{3N} = eta (mu / T)^{3N}."""
+    """Van Vleck factor eta (P / dR)^{3N}: C(T) at the common flight time T = mu dR / P."""
     positive(separation=separation)
-    return config.eta * (config.hyper_momentum / separation) ** (3 * config.n_particles)
+    return van_vleck_time(config.masses, config.mu * separation / config.hyper_momentum, 3)
 
 
 def density_D_N(config: HyperConfig, separation: float) -> float:
@@ -225,8 +225,16 @@ def density_D_N(config: HyperConfig, separation: float) -> float:
     if separation == 0.0:
         raise SingularityError("coincident hyper-positions")
     n = config.n_particles
-    return config.eta * config.mu ** 2 / separation ** 2 \
-        * (config.hyper_momentum / separation) ** (3 * (n - 1))
+    # a Python float power raises OverflowError and a numpy one warns: a D beyond
+    # the float range, 0 included, is a DomainError either way
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = config.eta * config.mu ** 2 / separation ** 2 \
+                * (config.hyper_momentum / separation) ** (3 * (n - 1))
+    except OverflowError:
+        D = math.inf
+    positive(density_D=D)
+    return D
 
 
 def green_hyper_asymptotic(config: HyperConfig, separation: float) -> complex:

@@ -15,11 +15,10 @@ from itkit.classical import (
     stationary_momentum,
     time_of_flight_free,
     trajectories_to_csv,
-    van_vleck_numeric,
     van_vleck_time,
 )
 from itkit.core import UniformField
-from itkit.errors import CausticError, DomainError, ShapeError
+from itkit.errors import DomainError, ShapeError
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
 positive = st.floats(0.1, 10.0, allow_nan=False)
@@ -114,19 +113,15 @@ class TestVanVleck:
         with pytest.raises(DomainError):
             van_vleck_time(m, T)
 
-    def test_numeric_free(self):
-        c = van_vleck_numeric(lambda r: stationary_momentum(r, [0.0], 2.0, 1.0), [1.0])
-        assert c == pytest.approx(0.5, rel=1e-6)
-
-    def test_numeric_field_independent(self):
-        c = van_vleck_numeric(
-            lambda r: stationary_momentum(r, [0.0], 2.0, 1.0, [1.0]), [1.0]
-        )
-        assert c == pytest.approx(0.5, rel=1e-6)
-
-    def test_degenerate_bundle(self):
-        with pytest.raises(CausticError):
-            van_vleck_numeric(lambda r: np.array([1.0]), [1.0])
+    @pytest.mark.parametrize("F", [None, [0.3, -0.2, 1.0]], ids=["free", "field"])
+    def test_is_jacobian_of_stationary_momentum(self, F):
+        # C = |det dp'/dr| at fixed r' and T, by central differences of the
+        # closed-form p'; the field shifts p' by -F T/2 and leaves C alone
+        r, m, T, h = np.array([1.0, -0.5, 2.0]), 1.3, 2.0, 1e-5
+        jac = np.column_stack([(stationary_momentum(r + e, [0.0] * 3, T, m, F)
+                                - stationary_momentum(r - e, [0.0] * 3, T, m, F)) / (2.0 * h)
+                               for e in h * np.eye(3)])
+        assert abs(np.linalg.det(jac)) == pytest.approx(van_vleck_time(m, T, 3), rel=1e-6)
 
 
 class TestEnergyDomain:
@@ -222,6 +217,17 @@ class TestEnumerate:
     def test_durations_pinned(self, F, durations):
         trs = enumerate_trajectories_uniform_1d(0.0, 1.0, 0.5, 1.0, F)
         assert [t.duration for t in trs] == pytest.approx(durations, rel=1e-13)
+
+    def test_launch_from_rest_is_one_path(self):
+        # E + F r' = 0: both launch signs give p' = 0 and the same path
+        trs = enumerate_trajectories_uniform_1d(0.0, 2.0, 0.0, 1.0, 1.0)
+        assert len(trs) == 1
+        assert trs[0].duration == 2.0
+        assert trs[0].p_start[0] == 0.0
+
+    def test_launch_from_rest_to_the_start_is_no_path(self):
+        # r = r' at rest: the only root is T = 0, which is no flight
+        assert enumerate_trajectories_uniform_1d(0.0, 0.0, 0.0, 1.0, 1.0) == []
 
     def test_forbidden_geometry_empty(self):
         # detector against the force beyond the turning point

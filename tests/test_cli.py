@@ -217,6 +217,41 @@ class TestCoincidenceCommand:
             # the widths fit, but e^1443, the scale, is no float
             assert "log(scale)" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("distance", [1e-300, 1e-100, 1e52, 1e60, 1e300])
+    def test_extreme_distance(self, tmp_path, capsys, distance):
+        # (p1 p2 / r^2)^3 once under- or overflowed here, and the zero curve
+        # became NaN Poisson means; the scaled curve does not depend on r
+        code, out = run(tmp_path, "coincidence",
+                        f"mode = simulate\ndistance = {distance:g}\nenergy = 8\n"
+                        "sigma = 1\nSigma = 10\nn_events = 1000\n", extra=["--seed", "3"])
+        assert code == 0
+        probs = np.loadtxt(out / "curve.csv", delimiter=",", skiprows=2)[:, 3]
+        assert np.all(np.isfinite(probs)) and probs.max() == 1.0
+        # the fitted scale, about counts r^6 / (p1 p2)^3, is no float
+        fit_cfg = (f"mode = fit\ndistance = {distance:g}\nenergy = 8\n"
+                   f"data = {out / 'dataset.csv'}\n")
+        code = main(["coincidence", "--config", str(write_config(tmp_path, fit_cfg, "fit.txt")),
+                     "--out", str(out)])
+        assert code == 4
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fit_does_not_depend_on_distance(self, tmp_path):
+        sigmas = []
+        for distance in ("1", "1e50"):
+            code, out = run(tmp_path, "coincidence",
+                            f"mode = simulate\ndistance = {distance}\nenergy = 8\n"
+                            "sigma = 1\nSigma = 10\nn_events = 1000\n", extra=["--seed", "3"])
+            assert code == 0
+            fit_cfg = (f"mode = fit\ndistance = {distance}\nenergy = 8\n"
+                       f"data = {out / 'dataset.csv'}\n")
+            code = main(["coincidence", "--config", str(write_config(tmp_path, fit_cfg, "fit.txt")),
+                         "--out", str(out)])
+            assert code == 0
+            sigmas.append(json.loads((out / "fit.json").read_text())["sigma"])
+        assert sigmas[1] == pytest.approx(sigmas[0], rel=1e-6)
+
     def test_missing_data_file(self, tmp_path):
         code, _ = run(tmp_path, "coincidence",
                       "mode = fit\ndistance = 1\nenergy = 8\ndata = /no/such.csv\n")
@@ -359,6 +394,17 @@ class TestGreensCommand:
             assert abs(complex(re, im) - ref) <= 1e-10 * abs(ref)
             if a > R:  # J << |Y| here, so J is checked to its own relative accuracy
                 assert abs(im - ref.imag) <= 1e-10 * abs(ref.imag)
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_particles", [150, 300])
+    def test_density_beyond_the_float_range_exits_4(self, tmp_path, capsys, n_particles):
+        # D ~ (1 / r)^{3(N-1)} leaves the float range at r = 0.2: once a bare
+        # OverflowError or RuntimeWarning (exit 1), now a DomainError naming it
+        code, _ = run(tmp_path, "greens", f"n_particles = {n_particles}\nenergy = 0.5\n"
+                                          "r_min = 0.2\nr_max = 100\nn_r = 50\n")
+        assert code == 4
+        assert "density_D" in capsys.readouterr().err
 
 
 class TestInvalidInputExitCodes:

@@ -18,7 +18,6 @@ from itkit.coincidence import (
     DelayObservation,
     PairGeometry,
     PairModelParams,
-    _pair_residual,
     _kappa,
     _reduced_curve,
     _weighted_residuals,
@@ -43,6 +42,11 @@ CM_SCALE_GEOMETRY = PairGeometry(mass=1.0, distance=2.0 * CM)
 MODEL_PARAMS = PairModelParams(sigma=1.0, Sigma=10.0)
 CM_SCALE_ENERGY = 0.37 * EV
 EPS = np.finfo(float).eps
+
+
+def _pair_residual(tau, p1, p2, m, E):
+    """The two-fragment delay equation's residual, scaled by max(1, |tau|)."""
+    return (math.sqrt(m * E) * (1.0 / p2 - 1.0 / p1) - tau) / max(1.0, abs(tau))
 
 
 def numeric_inversion_reference(obs):
@@ -628,6 +632,17 @@ class TestCurve:
         assert np.max(np.abs(wide - ps)) < 5e-3
         assert np.max(np.abs(narrow - ps)) > 0.1
 
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("distance", [1e-300, 1e-100, 1e60, 1e300])
+    def test_normalized_curve_does_not_depend_on_distance(self, distance):
+        curves = []
+        for r in (1.0, distance):
+            t0 = characteristic_time(1.0, r, 8.0)
+            curves.append(coincidence_curve(PairGeometry(1.0, r), MODEL_PARAMS, 8.0,
+                                            np.linspace(-6.0 * t0, 6.0 * t0, 121))[3])
+        assert curves[1].max() == 1.0
+        np.testing.assert_allclose(curves[1], curves[0], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("geometry, params, E", [
         (PairGeometry(1.0, 1.0), PairModelParams(1.0, 10.0), 8.0),

@@ -52,10 +52,6 @@ def _mixed_action(p, r, T):
     return classical.action_S_tilde_uniform(r, p, T, 1.0)
 
 
-def _free_momentum_map(r):
-    return classical.stationary_momentum(r, [0.0], 2.0, 1.0)
-
-
 def _bump(x, y, z):
     return np.exp(-(x * x + y * y + z * z))
 
@@ -77,7 +73,6 @@ CALLS = {
     "classical.action_S_tilde_uniform": (([1.0], [0.5], 2.0, 1.0, [0.01]), {}),
     "classical.stationary_momentum": (([1.0], [0.5], 2.0, 1.0, [0.01]), {}),
     "classical.van_vleck_time": (([1.0, 2.0], [2.0, 3.0], 3), {}),
-    "classical.van_vleck_numeric": ((_free_momentum_map, [1.0]), {}),
     "classical.characteristic_action_W_free": (([1.0, 0.5, 0.5], [0.5, 0.5, 0.5], 0.5, 2.0), {}),
     "classical.time_of_flight_free": (([1.0, 0.5, 0.5], [0.5, 0.5, 0.5], 0.5, 2.0), {}),
     "classical.density_D_free": (([1.0, 0.5, 0.5], [0.5, 0.5, 0.5], 0.5, 2.0), {}),
