@@ -45,6 +45,7 @@ PARAMS = coincidence.PairModelParams(1.0, 10.0)
 DATASET = coincidence.synthesize_dataset(GEOM, PARAMS, 8.0, 1000.0, 0)
 OBS = coincidence.DelayObservation([1.0, 1.5], [1.0, 1.2], 1.0, [0.3])
 HYPER = scatter.hyper_config([1.0, 2.0], 1.0, 0.5)
+HYPER300 = scatter.hyper_config([1.0] * 300, 1.0, 0.5)
 CSV = object()  # replaced by a dataset file written for the call
 
 
@@ -253,6 +254,16 @@ def test_bad_numbers_raise_or_give_finite_results(name, tmp_path):
                  id="green_free-modulus-overflows"),
     pytest.param(scatter.green_free, ([1e300, 0.0, 0.0], [0.0, 0.0, 0.0], 1e300, 1e300), "phase",
                  id="green_free-phase-overflows"),
+    # C = (1 / dR)^900 and D = (1 / dR)^899 for 300 unit masses: a Python float's
+    # power raises OverflowError, a numpy float's warns, and an underflow gives 0
+    pytest.param(scatter.vv_hyper, (HYPER300, 0.2), "van_vleck_factor", id="vv_hyper-overflows"),
+    pytest.param(scatter.vv_hyper, (HYPER300, np.float64(0.2)), "van_vleck_factor",
+                 id="vv_hyper-numpy-overflows"),
+    pytest.param(scatter.vv_hyper, (HYPER300, 30.0), "van_vleck_factor", id="vv_hyper-underflows"),
+    pytest.param(scatter.density_D_N, (HYPER300, 0.2), "density_D", id="density_D_N-overflows"),
+    pytest.param(scatter.density_D_N, (HYPER300, np.float64(0.2)), "density_D",
+                 id="density_D_N-numpy-overflows"),
+    pytest.param(scatter.density_D_N, (HYPER300, 30.0), "density_D", id="density_D_N-underflows"),
     # only an intermediate leaves it: the value, here its modulus, comes back
     pytest.param(coincidence.characteristic_time, (1e300, 1e-300, 1e300), 1e-300,
                  id="characteristic_time-quotient-underflows"),
@@ -266,6 +277,9 @@ def test_bad_numbers_raise_or_give_finite_results(name, tmp_path):
                  id="van_vleck_time-factor-underflows"),
     pytest.param(scatter.green_free, ([1e300, 0.0, 0.0], [-1e300, 0.0, 0.0], 0.5),
                  1.0 / (2.0 * math.pi * 2e300), id="green_free-squares-overflow"),
+    # eta = 10^900 and (P / dR)^900 = 10^-900 for 300 masses of 10, where C = (m / T)^900 = 1
+    pytest.param(scatter.vv_hyper, (scatter.hyper_config([10.0] * 300, 1.0, 0.5), 10.0), 1.0,
+                 id="vv_hyper-factors-leave-range"),
 ])
 def test_results_beyond_the_float_range(fn, args, expected):
     if isinstance(expected, str):
