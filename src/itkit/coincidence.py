@@ -47,8 +47,9 @@ class DelayObservation:
 
     def __post_init__(self):
         # copies, so freezing them leaves the caller's arrays writable
-        m, r, d = (np.array(a, dtype=float, ndmin=1)
-                   for a in (self.masses, self.distances, self.delays))
+        m = np.array(self.masses, dtype=float, ndmin=1)
+        r = np.array(self.distances, dtype=float, ndmin=1)
+        d = np.array(self.delays, dtype=float, ndmin=1)
         if max(m.ndim, r.ndim, d.ndim) > 1:
             raise DomainError("masses, distances and delays must be one-dimensional")
         # plain floats: numpy's per-call overhead dominates on 2-3 fragments
@@ -56,7 +57,12 @@ class DelayObservation:
         if len(d) != len(m) - 1 or len(r) != len(m):
             raise DomainError("need one distance per fragment and N-1 delays")
         finite(delays=d.tolist())
-        _freeze(self, masses=m, distances=r, delays=d)
+        # set directly, not through _freeze: its generic loop costs about 1 us an event
+        for a in (m, r, d):
+            a.setflags(write=False)
+        object.__setattr__(self, "masses", m)
+        object.__setattr__(self, "distances", r)
+        object.__setattr__(self, "delays", d)
 
 
 @dataclass(frozen=True)
@@ -101,6 +107,14 @@ class CoincidenceDataset:
         _freeze(self, delta_t=dt, counts=c)
 
 
+def _sqrt_ldexp(x: float, k: int) -> float:
+    """sqrt(x 2^k), k's parity under the root and 2^(k // 2) outside; inf past the float range."""
+    try:
+        return math.ldexp(math.sqrt(math.ldexp(x, k % 2)), k // 2)
+    except OverflowError:
+        return math.inf
+
+
 def characteristic_time(m: float, r: float, E: float) -> float:
     """Natural delay scale t = sqrt(m r^2 / E).
 
@@ -112,13 +126,19 @@ def characteristic_time(m: float, r: float, E: float) -> float:
     """
     positive(m=m, r=r, E=E)
     (mm, a), (rr, b), (ee, c) = math.frexp(m), math.frexp(r), math.frexp(E)
-    k = a + 2 * b - c
-    try:
-        t = math.ldexp(math.sqrt(math.ldexp(mm * rr * rr / ee, k % 2)), k // 2)
-    except OverflowError:
-        t = math.inf
+    t = _sqrt_ldexp(mm * rr * rr / ee, a + 2 * b - c)
     positive(characteristic_time=t)
     return t
+
+
+def _pair_momenta(q, c, p0, sqrt):
+    """Larger and smaller momentum at |tau| = q c, c a power of two: on plain floats
+    with ``math.sqrt`` or on arrays with ``np.sqrt``, the same operations and bits."""
+    w = 1.0 / c + sqrt(1.0 / c / c + 2.0 * q * q)  # (1 + s) / c
+    big = 0.5 * sqrt(2.0 + 4.0 / c / w) + q / w  # u + |h|
+    larger, smaller = p0 * big, p0 * (2.0 / w / big / c)
+    positive(larger_momentum=larger, smaller_momentum=smaller)
+    return larger, smaller
 
 
 def invert_delays_pair(tau, m: float = 1.0, E: float = 1.0):
@@ -134,26 +154,32 @@ def invert_delays_pair(tau, m: float = 1.0, E: float = 1.0):
     smaller momentum is taken from the exact identity
     u - |h| = 2 / ((1 + s)(u + |h|)), which avoids the cancellation of
     u - |h| at large |tau|, and for |tau| > 1 every term is divided through
-    by a power of two near |tau| so that s never overflows.
+    by a power of two near |tau| so that s never overflows.  sqrt(mE) is
+    formed like ``characteristic_time``, on the frexp mantissas, so it
+    stays representable wherever the momenta are; a momentum beyond the
+    float range is a DomainError.
 
-    ``tau`` may be a scalar, giving a tuple of two floats, or an array,
-    giving two arrays of its shape.  Every element must be finite.
+    ``tau`` may be a Python scalar, giving a tuple of two floats computed in
+    plain Python, or an array, giving two arrays of its shape (a 0-d array
+    gives two floats); both give the same bits.  Every element must be finite.
     """
     positive(m=m, E=E)
     finite(tau=tau)
-    t = np.asarray(tau, dtype=float)
-    p0 = math.sqrt(m * E)
-    a = np.abs(t)
+    (mm, km), (me, ke) = math.frexp(m), math.frexp(E)
+    p0 = _sqrt_ldexp(mm * me, km + ke)  # sqrt(mE)
     # a power of two near |tau| (1 for |tau| <= 1): dividing by it is exact,
     # so the scaled terms carry the bits of the unscaled ones
+    if isinstance(tau, (int, float)):
+        # plain floats: numpy's per-call overhead on a 0-d array would dominate
+        a = math.fabs(tau)
+        c = math.ldexp(1.0, max(math.frexp(a)[1] - 1, 0))
+        larger, smaller = _pair_momenta(a / c, c, p0, math.sqrt)
+        return (smaller, larger) if tau < 0 else (larger, smaller)
+    t = np.asarray(tau, dtype=float)
+    a = np.abs(t)
     c = np.ldexp(1.0, np.maximum(np.frexp(a)[1] - 1, 0))
-    q = a / c
-    w = 1.0 / c + np.sqrt(1.0 / c / c + 2.0 * q * q)  # (1 + s) / c
-    h = q / w  # |h|
-    u = 0.5 * np.sqrt(2.0 + 4.0 / c / w)
-    big = u + h
-    larger = p0 * big
-    smaller = p0 * (2.0 / w / big / c)
+    with np.errstate(over="ignore"):
+        larger, smaller = _pair_momenta(a / c, c, p0, np.sqrt)
     swap = t < 0
     p1 = np.where(swap, smaller, larger)
     p2 = np.where(swap, larger, smaller)
@@ -233,8 +259,25 @@ def pair_model_momentum_density(p1_vec, p2_vec, params: PairModelParams):
     return float(dens) if dens.ndim == 0 else dens
 
 
+def _inverse_square(x: float, k: float = 1.0) -> float:
+    """1 / (k x^2) for a power of two k, with the plain formula's bits.  Where x^2
+    leaves the float range and ``**`` raises, it is formed on x's frexp mantissa
+    with the binary exponent kept apart, and is inf past the float range."""
+    try:
+        return 1.0 / (k * x ** 2)
+    except (OverflowError, ZeroDivisionError):
+        mx, ex = math.frexp(x)
+        try:
+            return math.ldexp(1.0 / (k * mx * mx), -2 * ex)
+        except OverflowError:
+            return math.inf
+
+
 def _kappa(params: PairModelParams) -> float:
-    return 1.0 / params.Sigma ** 2 - 1.0 / (4.0 * params.sigma ** 2)
+    """kappa = 1/Sigma^2 - 1/(4 sigma^2), a finite float or a DomainError naming kappa."""
+    kappa = _inverse_square(params.Sigma) - _inverse_square(params.sigma, 4.0)
+    finite(kappa=kappa)
+    return kappa
 
 
 def _log_shell_constant(mE: float, params: PairModelParams) -> float:
@@ -465,11 +508,11 @@ def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
                        "it fits no better than zero counts")
 
     # back out widths, pinning the flat direction at the initial Sigma
-    inv4s2 = 1.0 / initial.Sigma ** 2 - kappa_hat
+    inv4s2 = _inverse_square(initial.Sigma) - kappa_hat
     if inv4s2 > 0:
         params = PairModelParams(sigma=0.5 / math.sqrt(inv4s2), Sigma=initial.Sigma)
     else:
-        invS2 = kappa_hat + 1.0 / (4.0 * initial.sigma ** 2)
+        invS2 = kappa_hat + _inverse_square(initial.sigma, 4.0)
         if invS2 <= 0:
             raise FitError("fitted kappa is incompatible with positive widths")
         params = PairModelParams(sigma=initial.sigma, Sigma=1.0 / math.sqrt(invS2))
@@ -482,8 +525,11 @@ def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
     # covariance of (sigma, Sigma, scale): the chain rule through kappa(sigma, Sigma)
     # and log_scale = log(scale) + the shell constant's change from the fitted point
     s, S, mE = params.sigma, params.Sigma, g.mass * dataset.energy
-    chain = np.array([[0.5 / s ** 3, -2.0 / S ** 3, 0.0],
-                      [0.5 * mE / s ** 3 - 3.0 / s, 2.0 * mE / S ** 3 - 3.0 / S, 1.0 / scale]])
+    try:
+        chain = np.array([[0.5 / s ** 3, -2.0 / S ** 3, 0.0],
+                          [0.5 * mE / s ** 3 - 3.0 / s, 2.0 * mE / S ** 3 - 3.0 / S, 1.0 / scale]])
+    except (OverflowError, ZeroDivisionError):  # a width's cube is no float
+        chain = np.full((2, 3), math.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         full_jac = jac(x_hat) @ chain
         info = full_jac.T @ full_jac

@@ -31,6 +31,26 @@ def run(tmp_path, command, config_text, extra=None):
     return main(argv), out
 
 
+def written_numbers(out):
+    """Every number in the CSV and JSON files a command wrote to ``out``."""
+    numbers = []
+
+    def walk(value):
+        if isinstance(value, (list, dict)):
+            for v in value.values() if isinstance(value, dict) else value:
+                walk(v)
+        elif isinstance(value, (int, float)):
+            numbers.append(float(value))
+
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".csv":
+            rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+            numbers += [float(v) for line in rows[1:] for v in line.split(",")]
+        elif path.suffix == ".json":
+            walk(json.loads(path.read_text()))
+    return numbers
+
+
 class TestConfigParsing:
     def test_unknown_key(self, tmp_path):
         code, _ = run(tmp_path, "delays",
@@ -251,6 +271,22 @@ class TestCoincidenceCommand:
             assert code == 0
             sigmas.append(json.loads((out / "fit.json").read_text())["sigma"])
         assert sigmas[1] == pytest.approx(sigmas[0], rel=1e-6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("width", ["1e-200", "1e200"])
+    @pytest.mark.parametrize("mode, key", [("simulate", "sigma"), ("simulate", "Sigma"),
+                                           ("fit", "sigma_init"), ("fit", "Sigma_init")])
+    def test_extreme_widths(self, tmp_path, fuzz_dir, mode, key, width):
+        # kappa once raised a bare ZeroDivisionError or OverflowError from a
+        # Python float's ** here, and the fit's covariance did at Sigma_init = 1e200
+        keys = {"mode": mode, **(SIMULATE_KEYS if mode == "simulate" else FIT_KEYS), key: width}
+        if mode == "fit":
+            keys["data"] = str(fuzz_dir / "dataset.csv")
+        code, out = run(tmp_path, "coincidence", "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            numbers = written_numbers(out)
+            assert numbers and all(math.isfinite(x) for x in numbers)
 
     def test_missing_data_file(self, tmp_path):
         code, _ = run(tmp_path, "coincidence",

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -339,6 +340,46 @@ class TestPairInversion:
             assert (a, b) == (p1[idx], p2[idx])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(deadline=None)
+    @given(st.floats(min_value=5e-324, max_value=np.finfo(float).max) | st.just(0.0),
+           st.sampled_from([1.0, -1.0]),
+           st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e),
+           st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e))
+    @example(0.3, 1.0, 1e200, 1e200)
+    @example(0.3, 1.0, 1e-200, 1e-200)
+    def test_scalar_path_matches_array_path(self, magnitude, sign, m, E):
+        # a Python float runs the closed form on math, an array on numpy:
+        # the same bits, or a DomainError from both
+        tau = sign * magnitude
+        try:
+            a, b = invert_delays_pair(tau, m, E)
+        except DomainError:
+            with pytest.raises(DomainError):
+                invert_delays_pair(np.array([tau]), m, E)
+            return
+        p1, p2 = invert_delays_pair(np.array([tau]), m, E)
+        assert type(a) is float and type(b) is float
+        assert (a.hex(), b.hex()) == (float(p1[0]).hex(), float(p2[0]).hex())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_momentum_scale_beyond_the_float_range(self, scale):
+        # sqrt(m E) once under- or overflowed here, giving (0, 0) or (inf, inf)
+        t0 = characteristic_time(scale, 1.0, scale)
+        p = invert_delays_numeric(DelayObservation([scale, scale], [1.0, 1.0], scale, [0.3 * t0]))
+        for tau in (0.3, np.array([0.3])):
+            p1, p2 = invert_delays_pair(tau, scale, scale)
+            assert p1 == pytest.approx(p[0], rel=1e-12, abs=0.0)
+            assert p2 == pytest.approx(p[1], rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m, E, tau", [(1.7e308, 1.7e308, 0.3), (1e-300, 1e-300, 1e300)])
+    def test_momentum_beyond_the_float_range(self, m, E, tau):
+        for t in (tau, np.array([tau])):
+            with pytest.raises(DomainError, match="momentum"):
+                invert_delays_pair(t, m, E)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(st.floats(min_value=5e-324, max_value=1.7e308), st.sampled_from([1.0, -1.0]))
     @example(1e6, 1.0)
     @example(1e150, 1.0)
@@ -400,6 +441,15 @@ class TestNumericInversion:
         p = invert_delays_numeric(obs)
         assert np.all(p > 0)
         assert np.sum(p ** 2 / 2.0) == pytest.approx(1.5, abs=1e-9)
+
+    @pytest.mark.parametrize("masses, distances, delay, message", [
+        ([1e-300, 1e300], [1e300, 1e-300], 0.0, "float range"),  # sqrt(g_2) is inf * 0
+        ([1.0, 1.5e308], [1.0, 1e-300], 1e300, "converge"),  # p_2 is sqrt(inf) * 0
+    ])
+    def test_nan_is_refused_wherever_it_stands(self, masses, distances, delay, message):
+        # the NaN is the second entry, which min and max would pass over
+        with pytest.raises(InfeasibleError, match=message):
+            invert_delays_numeric(DelayObservation(masses, distances, 1.0, [delay]))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(st.floats(min_value=-1.7e308, max_value=1.7e308))
@@ -598,6 +648,36 @@ class TestPairModel:
             single = pair_model_momentum_density(p1[idx], p2[idx], params)
             assert type(single) is float
             assert single == dens[idx]
+
+    @given(st.floats(-323.0, 308.0).map(lambda e: 10.0 ** e),
+           st.floats(-323.0, 308.0).map(lambda e: 10.0 ** e))
+    @example(1e200, 10.0)
+    @example(1.0, 1e200)
+    @example(1e200, 1e200)
+    @example(1e-200, 10.0)
+    @example(1.0, 1e-200)
+    @example(1e-160, 1.0)
+    @settings(deadline=None)
+    def test_kappa_is_a_float_or_a_domain_error(self, sigma, Sigma):
+        # a Python float's ** once raised a bare OverflowError or, through
+        # 1 / 0, a ZeroDivisionError from _kappa
+        exact = 1 / Fraction(Sigma) ** 2 - 1 / (4 * Fraction(sigma) ** 2)
+        try:
+            plain = 1.0 / Sigma ** 2 - 1.0 / (4.0 * sigma ** 2)
+        except (OverflowError, ZeroDivisionError):
+            plain = None
+        try:
+            kappa = _kappa(PairModelParams(sigma, Sigma))
+        except DomainError as exc:
+            # only where a term is no float, as where kappa itself is none
+            assert "kappa" in str(exc)
+            terms = (1 / Fraction(Sigma) ** 2, 1 / (4 * Fraction(sigma) ** 2))
+            assert max(terms) > Fraction(np.finfo(float).max) * (1 - 4 * Fraction(EPS))
+            return
+        if plain is not None:
+            assert kappa.hex() == plain.hex()  # the bits wherever the plain formula gives a float
+        else:
+            assert abs(Fraction(kappa) - exact) <= 4 * Fraction(EPS) * abs(exact) + Fraction(2) ** -1072
 
 
 class TestCurve:
