@@ -165,6 +165,14 @@ def van_vleck_time(m, T, dimension: int = 3) -> float:
     the result moves by at most an ulp, about once in 15,000 inputs: pow is
     not exact under scaling by powers of two.
     """
+    C = _ldexp(*_van_vleck_frexp(m, T, dimension))
+    positive(van_vleck_factor=C)
+    return C
+
+
+def _van_vleck_frexp(m, T, dimension: int) -> tuple[float, int]:
+    """C of :func:`van_vleck_time` as (q, e) with C = q 2^e, q the product of one
+    frexp mantissa per particle."""
     m = _vec(m)
     T = np.broadcast_to(_vec(T), m.shape)
     positive(m=m, T=T, dimension=dimension)
@@ -172,12 +180,15 @@ def van_vleck_time(m, T, dimension: int = 3) -> float:
         raise DomainError(f"dimension must be an integer, got {dimension!r}")
     (mm, a), (tt, c) = np.frexp(m), np.frexp(T)
     q, e = np.frexp((mm / tt) ** dimension)
+    return float(np.prod(q)), int(dimension * np.sum(a - c) + np.sum(e))
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x 2^e, inf past the float range."""
     try:
-        C = math.ldexp(float(np.prod(q)), int(dimension * np.sum(a - c) + np.sum(e)))
+        return math.ldexp(x, e)
     except OverflowError:
-        C = math.inf
-    positive(van_vleck_factor=C)
-    return C
+        return math.inf
 
 
 def characteristic_action_W_free(r, r_prime, E: float, m: float = 1.0) -> float:

@@ -187,9 +187,11 @@ def cmd_it_check(cfg: Config, out_dir: Path, seed: int | None) -> int:
         packet = GaussianPacketSpec(p0=[p0], sigma_p=[sigma_p], r0=[0.0])
         pgrid = centered_grid_1d(40.0 * sigma_p, n, p0)
     xgrids = []
-    for t in times:
+    for t in times.tolist():
+        # on Python floats, so a centre or spread past the float range is inf, not a
+        # numpy overflow warning, and the grid's guards name it
         center = p0 * t / mass
-        spread = math.sqrt(packet.sigma_x[0] ** 2 + (sigma_p * t / mass) ** 2)
+        spread = math.hypot(float(packet.sigma_x[0]), sigma_p * t / mass)
         xgrid = centered_grid_1d(30.0 * spread + 2.0 * abs(center), n, center)
         # the reference packet's momenta (6 sigma) must fit in the band |p| <= pi/dx
         # of its position grid, else it aliases and the error column is noise

@@ -249,13 +249,14 @@ def pair_model_momentum_density(p1_vec, p2_vec, params: PairModelParams):
     p1 = np.atleast_1d(np.asarray(p1_vec, dtype=float))
     p2 = np.atleast_1d(np.asarray(p2_vec, dtype=float))
     finite(p1_vec=p1, p2_vec=p2)
-    rel = (p1 - p2) / 2.0
-    tot = p1 + p2
-    s2 = params.sigma ** 2
-    S2 = params.Sigma ** 2
-    norm = (2.0 * math.pi * s2) ** -1.5 * (2.0 * math.pi * S2) ** -1.5
-    dens = norm * np.exp(-np.sum(rel * rel, axis=-1) / (2.0 * s2)
-                         - np.sum(tot * tot, axis=-1) / (2.0 * S2))
+    # p' / sigma = (p1' - p2') / 2 sigma and P' / Sigma, with the norm in logs: no width
+    # squares past the float range, and a density beyond it is 0 or a DomainError
+    log_norm = -3.0 * (math.log(2.0 * math.pi) + math.log(params.sigma) + math.log(params.Sigma))
+    with np.errstate(over="ignore"):
+        u = (p1 - p2) / params.sigma
+        w = (p1 + p2) / params.Sigma
+        dens = np.exp(log_norm - 0.125 * np.sum(u * u, axis=-1) - 0.5 * np.sum(w * w, axis=-1))
+    finite(pair_density=dens)
     return float(dens) if dens.ndim == 0 else dens
 
 

@@ -5,6 +5,7 @@ each keyword value (None is absent) and raise ``DomainError("<name> must be
 <rule>, got <value>")`` at the first that fails; NaN fails all three.
 """
 
+import math
 from math import inf
 
 import numpy as np
@@ -65,6 +66,27 @@ class FitError(ItkitError, RuntimeError):
 # Real scalars and flat lists of them are checked in plain Python: numpy's
 # per-call overhead would dominate a check of a few numbers.
 _SCALARS = (int, float, np.integer, np.floating)
+# 0 <= x is this < x on Python floats: no float lies strictly between it and 0
+_BELOW_ZERO = -math.ulp(0.0)
+
+
+def _floats_within(values: dict, lo: float) -> bool:
+    """True if every value is a Python float, or a list of them, in (lo, inf).
+
+    The common case of every guard, at one chained comparison per number; a
+    False sends the values to :func:`_check`, which finds the first bad one.
+    """
+    for v in values.values():
+        if type(v) is float:
+            if lo < v < inf:
+                continue
+        elif type(v) is list:
+            for x in v:
+                if type(x) is not float or not lo < x < inf:
+                    return False
+            continue
+        return False
+    return True
 
 
 def _check(values: dict, rule: str, ok, ok_array) -> None:
@@ -87,15 +109,19 @@ def _check(values: dict, rule: str, ok, ok_array) -> None:
 
 def positive(**values) -> None:
     """Raise DomainError unless every element of every value lies in (0, inf)."""
-    _check(values, "positive and finite", lambda x: 0 < x < inf, lambda a: (a > 0) & (a < inf))
+    if not _floats_within(values, 0.0):
+        _check(values, "positive and finite", lambda x: 0 < x < inf,
+               lambda a: (a > 0) & (a < inf))
 
 
 def nonnegative(**values) -> None:
     """Raise DomainError unless every element of every value lies in [0, inf)."""
-    _check(values, "nonnegative and finite", lambda x: 0 <= x < inf,
-           lambda a: (a >= 0) & (a < inf))
+    if not _floats_within(values, _BELOW_ZERO):
+        _check(values, "nonnegative and finite", lambda x: 0 <= x < inf,
+               lambda a: (a >= 0) & (a < inf))
 
 
 def finite(**values) -> None:
     """Raise DomainError unless every element of every value, real or complex, is finite."""
-    _check(values, "finite", lambda x: -inf < x < inf, np.isfinite)
+    if not _floats_within(values, -inf):
+        _check(values, "finite", lambda x: -inf < x < inf, np.isfinite)

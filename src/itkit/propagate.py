@@ -1,5 +1,13 @@
 """Grid time evolution (exact free, split-operator) and semiclassical kernels.
 
+Both grid propagators share one exact drift, the phase
+e^{-i (p^2 dt + p.F dt^2) / (2 m hbar)} on the momentum grid.  It is diagonal
+in p and commutes with the transform's origin phases and cell-volume
+scalings, so on a position field the drift is one raw FFT pair,
+IFFT[FFT[psi] drift] (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412
+(1982)).  The exact free step is its F = 0 case: one FFT pair, with no
+origin phases.
+
 The split-operator stepper handles a uniform extraction field plus an
 arbitrary sampled short-range potential.  The field drift is exact (the
 closed-form Stark propagator), so only the sampled potential is split off
@@ -30,8 +38,6 @@ from .core import (
     UniformField,
     _freeze,
     check_boundary,
-    to_momentum,
-    to_position,
 )
 from .errors import (
     CausticError,
@@ -76,27 +82,39 @@ class EvolutionSpec:
 
 
 def evolve_free_exact(field: ComplexField, m: float, T: float) -> ComplexField:
-    """Multiply the momentum representation by exp(-i p^2 T / (2 m hbar)).
+    """Exact free evolution over T: the F = 0 drift e^{-i p^2 T / (2 m hbar)}.
 
-    Accepts either representation and returns the same one.  Unitary by
-    construction.
+    A momentum field is multiplied by the drift.  A position field takes one
+    raw FFT pair, IFFT[FFT[psi] drift], with no origin phases or cell-volume
+    scalings: those of the forward and inverse transform cancel.  Its density
+    must vanish on the grid's boundary before and after the step.  Accepts
+    either representation and returns the same one.  Unitary by construction.
     """
     positive(m=m)
     nonnegative(T=T)
     if field.representation == MOMENTUM:
-        p2 = _p_squared(field.grid)
-        out = field.values * np.exp(-1j * p2 * T / (2.0 * m * HBAR))
-        return field.with_values(out, field.time_label + T)
-    phi = to_momentum(field)
-    phi = evolve_free_exact(phi, m, T)
-    psi = to_position(phi, field.grid)
+        return field.with_values(field.values * _drift(field.grid, m, T), field.time_label + T)
+    check_boundary(field, "evolve_free_exact input")
+    drift = _drift(field.grid.conjugate(), m, T, fft_order=True)
+    psi = field.with_values(np.fft.ifftn(np.fft.fftn(field.values) * drift),
+                            field.time_label + T)
     check_boundary(psi, "evolve_free_exact output")
     return psi
 
 
-def _p_squared(pgrid: Grid) -> np.ndarray:
+def _drift(pgrid: Grid, m: float, dt: float, force=None, fft_order: bool = False) -> np.ndarray:
+    """The exact drift e^{-i (p^2 dt + p.F dt^2) / (2 m hbar)} on the momentum grid.
+
+    With ``fft_order`` each axis is in raw FFT order, zero momentum first, to
+    multiply an unshifted ``fftn``.
+    """
     axes = pgrid.meshgrid()
-    return sum(a ** 2 for a in axes)
+    if fft_order:
+        axes = [np.fft.ifftshift(a) for a in axes]
+    phase = sum(a ** 2 for a in axes) * dt
+    if force is not None:
+        phase = phase + sum(fa * a for fa, a in zip(force, axes)) * dt ** 2
+    return np.exp(-1j * phase / (2.0 * m * HBAR))
 
 
 def evolve_split_operator(field: ComplexField, spec: EvolutionSpec) -> ComplexField:
@@ -140,13 +158,7 @@ def evolve_split_operator(field: ComplexField, spec: EvolutionSpec) -> ComplexFi
     half_kick = 1.0 if v is None else np.exp(-1j * v * dt / (2.0 * HBAR))
     last_kick = stark * half_kick
     full_kick = last_kick * half_kick
-    pgrid = grid.conjugate()
-    p_dot_f = sum(fa * a for fa, a in zip(f, pgrid.meshgrid()))
-    # the drift phase is diagonal in p and commutes with the transform's
-    # origin phases, so raw unshifted FFTs are exact here and cheaper
-    drift = np.fft.ifftshift(
-        np.exp(-1j * (_p_squared(pgrid) * dt + p_dot_f * dt ** 2) / (2.0 * m * HBAR))
-    )
+    drift = _drift(grid.conjugate(), m, dt, f, fft_order=True)
     # imported here, not at module level: scipy.fft is ~0.25 s of start-up
     import scipy.fft
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import hankel_h1
-from .classical import _free_path_length, van_vleck_time
+from .classical import _free_path_length, _ldexp, _van_vleck_frexp, van_vleck_time
 from .core import HBAR, _edge_ratio, _freeze, _write_csv
 from .errors import (CausticError, CoverageError, DegenerateInputError, DomainError,
                      ShapeError, SingularityError, finite, nonnegative, positive)
@@ -219,20 +219,18 @@ def vv_hyper(config: HyperConfig, separation: float) -> float:
 def density_D_N(config: HyperConfig, separation: float) -> float:
     """Fixed-energy density D = eta mu^2 / dR^2 (P / dR)^{3(N-1)}.
 
-    Reduces to m^2 / R^2 at N = 1, mu = m.
+    Formed as T / (2E) C(T), C the van Vleck factor at the common flight time
+    T = mu dR / P, with the binary exponents kept apart: a D in the float range
+    comes back even where eta or (P / dR)^{3(N-1)} alone leaves it, and a D
+    beyond it is a DomainError.  Reduces to m^2 / R^2 at N = 1, mu = m.
     """
     nonnegative(separation=separation)
     if separation == 0.0:
         raise SingularityError("coincident hyper-positions")
-    n = config.n_particles
-    # a Python float power raises OverflowError and a numpy one warns: a D beyond
-    # the float range, 0 included, is a DomainError either way
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            D = config.eta * config.mu ** 2 / separation ** 2 \
-                * (config.hyper_momentum / separation) ** (3 * (n - 1))
-    except OverflowError:
-        D = math.inf
+    T = config.mu * float(separation) / config.hyper_momentum
+    q, e = _van_vleck_frexp(config.masses, T, 3)
+    s, f = math.frexp(T / (2.0 * config.energy))
+    D = _ldexp(q * s, e + f)
     positive(density_D=D)
     return D
 

@@ -181,6 +181,17 @@ class TestItCheckCommand:
             written = np.loadtxt(out / f"exact_density_t{t}.csv", delimiter=",", skiprows=2)[:, 1]
             assert np.array_equal(written, evolve_free_exact(psi0, 1.0, float(t)).density())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("config", ["sigma_p = 1e200", "sigma_p = 1e-200",
+                                        "times = 1e300", "mass = 1e-300"])
+    def test_extreme_magnitudes_are_typed(self, tmp_path, config):
+        # the grid's centre and spread once overflowed in numpy scalar powers,
+        # a RuntimeWarning traceback under this filter
+        code, out = run(tmp_path, "it-check", f"{config}\nn_points = 8192\n")
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert all(math.isfinite(x) for x in written_numbers(out))
+
     def test_near_field_warning(self, tmp_path, capsys):
         # the library's warning, reported once as one line
         code, _ = run(tmp_path, "it-check", "times = 5\nn_points = 8192\n")

@@ -625,6 +625,32 @@ class TestPairModel:
         expected = (2 * math.pi) ** -3.0 / (1.0 ** 3 * 2.0 ** 3)
         assert pair_model_momentum_density(z, z, params) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma, Sigma, p, expected", [
+        # (2 pi sigma Sigma)^-3 = 4e-606: the density underflows to 0, here and away from 0
+        (1e200, 10.0, 0.0, 0.0),
+        (1e200, 10.0, 1e200, 0.0),
+        # (2 pi sigma Sigma)^-3 = 4e594 is no float; a relative momentum of 1 is e^-1e400
+        (1e-200, 10.0, 0.0, "pair_density"),
+        (1e-200, 10.0, 1e-200, "pair_density"),
+        (1e-200, 10.0, 1.0, 0.0),
+        # sigma Sigma = 1, so the density is a float at every momentum
+        (1e200, 1e-200, 0.0, (2 * math.pi) ** -3),
+        (1e200, 1e-200, 1e200, (2 * math.pi) ** -3 * math.exp(-0.5)),
+        (1e-200, 1e200, 1e-200, (2 * math.pi) ** -3 * math.exp(-0.5)),
+    ])
+    def test_extreme_widths(self, sigma, Sigma, p, expected):
+        # sigma ** 2 once raised a bare OverflowError at 1e200, and (2 pi s2) ** -1.5
+        # a ZeroDivisionError at 1e-200; p1' = -p2' = p z is a relative momentum p
+        p1 = np.array([0.0, 0.0, p])
+        params = PairModelParams(sigma, Sigma)
+        if isinstance(expected, str):
+            with pytest.raises(DomainError, match=expected):
+                pair_model_momentum_density(p1, -p1, params)
+        else:
+            dens = pair_model_momentum_density(p1, -p1, params)
+            assert dens == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_does_not_factorize(self):
         # rel/total structure correlates the two single-particle momenta
         params = PairModelParams(0.5, 5.0)

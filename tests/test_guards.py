@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from itkit import bessel, classical, coincidence, core, imaging, propagate, scatter
-from itkit.errors import DomainError, ItkitError
+from itkit.errors import DomainError, ItkitError, finite, nonnegative, positive
 
 MODULES = (core, classical, propagate, imaging, coincidence, scatter, bessel)
 BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0)
@@ -204,6 +204,24 @@ def resolve(name: str):
     for attr in attrs:
         obj = getattr(obj, attr)
     return obj
+
+
+@pytest.mark.parametrize("rule", [positive, nonnegative, finite])
+@pytest.mark.parametrize("x", [1.0, 5e-324, 0.0, -0.0, -5e-324, -1.0, 1.7e308,
+                               math.inf, -math.inf, math.nan])
+def test_plain_floats_match_the_array_path(rule, x):
+    # Python floats and lists of them take a fast path; numpy values take the
+    # array path.  Both pass and fail alike, and name the same first bad element.
+    def outcome(**values):
+        try:
+            rule(**values)
+        except DomainError as exc:
+            return str(exc)
+        return None
+
+    for plain, array in [(x, np.float64(x)), ([1.0, x, -1.0], np.array([1.0, x, -1.0])),
+                         ([x, 2.0], [np.float64(x), np.float64(2.0)])]:
+        assert outcome(a=1.0, v=plain, w=None) == outcome(a=1.0, v=array, w=None)
 
 
 def test_table_names_every_public_callable():

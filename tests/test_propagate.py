@@ -66,7 +66,61 @@ def moments(grid, density):
     return mean, var
 
 
+@st.composite
+def free_step_cases(draw):
+    """A Gaussian packet, a mass and a time T >= 0 on a 1-D or 2-D grid of 96..200
+    nodes per axis, even or odd, whose origin lies up to 10^4 grid lengths from 0.
+
+    Each axis's width sigma is n h / 50 and its momentum p0 at most 1/sigma.
+    T spreads the narrowest axis at most sqrt(5)-fold, so the packet keeps 10
+    sigma inside the grid at t = 0 and t = T, and its momenta 10 sigma_p
+    inside the band |p - p0| <= pi / h.
+    """
+    d = draw(st.integers(1, 2))
+    n = [draw(st.integers(96, 200 if d == 1 else 128)) for _ in range(d)]
+    spacing = [10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(d)]
+    sigma = [k * h / 50.0 for k, h in zip(n, spacing)]
+    p0 = [draw(st.floats(-1.0, 1.0)) / s for s in sigma]
+    m = 10.0 ** draw(st.floats(-2.0, 2.0))
+    T = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))) * 2.0 * m * min(sigma) ** 2
+    origin, r0 = [], []
+    for k, h, p in zip(n, spacing, p0):
+        o = k * h * draw(st.one_of(st.floats(-1.0, 1.0), st.floats(-1e4, 1e4)))
+        origin.append(o)
+        r0.append(o + h * (k - 1) / 2.0 - p * T / (2.0 * m))
+    spec = GaussianPacketSpec(p0=p0, sigma_p=[0.5 / s for s in sigma], r0=r0)
+    return Grid(tuple(n), tuple(spacing), tuple(origin)), spec, m, T
+
+
+def spreading_gaussian(grid, spec, m, t):
+    """Closed-form free evolution of sample_gaussian's packet
+    e^{-(x - r0)^2 / 4 sigma^2 + i p0 x}, one factor per axis (hbar = 1)."""
+    out = 1.0
+    for x, r0, p0, s in zip(grid.meshgrid(), spec.r0, spec.p0, spec.sigma_x):
+        y, z = x - r0, 1.0 + 1j * t / (2.0 * m * s * s)
+        out = out * (2.0 * np.pi * s * s) ** -0.25 / np.sqrt(z) * np.exp(
+            1j * p0 * r0 + (-y * y / (4.0 * s * s) + 1j * p0 * y - 0.5j * p0 * p0 * t / m) / z)
+    return out
+
+
 class TestFreeExact:
+    @settings(deadline=None)
+    @given(free_step_cases())
+    def test_one_fft_pair_matches_composition_and_closed_form(self, case):
+        # the origin phases and cell-volume scalings of to_momentum and
+        # to_position cancel, so one raw FFT pair is the same step
+        grid, spec, m, T = case
+        psi = sample_gaussian(spec, grid, POSITION)
+        out = evolve_free_exact(psi, m, T)
+        assert out.representation == POSITION and out.time_label == T
+        composed = to_position(evolve_free_exact(to_momentum(psi), m, T), grid).values
+        peak = np.max(np.abs(composed))
+        assert np.max(np.abs(out.values - composed)) <= 1e-12 * peak
+        # the packet keeps 10 sigma inside the grid, so the discrete step is
+        # the continuum one to the e^-25 amplitude of its tails
+        exact = spreading_gaussian(grid, spec, m, T)
+        assert np.max(np.abs(out.values - exact)) <= 1e-9 * peak
+
     def test_identity_at_zero_time(self):
         grid, psi = packet()
         out = evolve_free_exact(psi, 1.0, 0.0)

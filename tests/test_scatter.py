@@ -328,6 +328,13 @@ class TestHyperQuantities:
         cfg2 = hyper_config([1.0, 1.0], 1.0, 0.5)
         assert density_D_N(cfg2, 10.0) == pytest.approx(1e-5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_density_where_eta_leaves_the_float_range(self):
+        # eta = 10^900 and (P / dR)^897 = 10^-897 each leave the float range, and
+        # eta alone once made D NaN and a DomainError; D = 10^900 / 100 * 10^-897
+        cfg = hyper_config([10.0] * 300, 1.0, 0.5)
+        assert density_D_N(cfg, 10.0) == pytest.approx(10.0, rel=1e-14)
+
     def test_density_matches_fd_derivative(self):
         # D = -(dT/dE) vv_hyper with T(E) at fixed lab geometry
         masses = [1.0, 2.0]
