@@ -63,42 +63,27 @@ class FitError(ItkitError, RuntimeError):
     """Least-squares fit failed to converge."""
 
 
-# Real scalars and flat lists of them are checked in plain Python: numpy's
-# per-call overhead would dominate a check of a few numbers.
-_SCALARS = (int, float, np.integer, np.floating)
-# 0 <= x is this < x on Python floats: no float lies strictly between it and 0
+# Real scalars and flat lists of them are checked in plain Python, one chained
+# comparison lo < x < inf per number: numpy's per-call overhead would dominate a
+# check of a few numbers.  Other numpy floats (float32 among them) go through
+# numpy: compared with one, a Python bound would be rounded to its precision.
+_SCALARS = (float, int, np.integer)
+# 0 <= x is this < x on Python floats and ints: no float lies strictly between it and 0
 _BELOW_ZERO = -math.ulp(0.0)
 
 
-def _floats_within(values: dict, lo: float) -> bool:
-    """True if every value is a Python float, or a list of them, in (lo, inf).
-
-    The common case of every guard, at one chained comparison per number; a
-    False sends the values to :func:`_check`, which finds the first bad one.
-    """
-    for v in values.values():
-        if type(v) is float:
-            if lo < v < inf:
-                continue
-        elif type(v) is list:
-            for x in v:
-                if type(x) is not float or not lo < x < inf:
-                    return False
-            continue
-        return False
-    return True
-
-
-def _check(values: dict, rule: str, ok, ok_array) -> None:
+def _check(values: dict, rule: str, lo: float, ok_array) -> None:
     for name, v in values.items():
-        if isinstance(v, _SCALARS):
-            if ok(v):
-                continue
-            v = [v]
-        if type(v) is list and (not v or isinstance(v[0], _SCALARS)):
-            bad = [x for x in v if not ok(x)]
-        elif v is None:
+        if isinstance(v, _SCALARS) and lo < v < inf or v is None:
             continue
+        # stop at the first element that fails, or that only numpy can judge
+        for x in v if type(v) is list else (v,):
+            if not (isinstance(x, _SCALARS) and lo < x < inf):
+                break
+        else:
+            continue
+        if isinstance(x, _SCALARS):
+            bad = (x,)
         else:
             a = np.asarray(v)
             good = ok_array(a)
@@ -107,21 +92,24 @@ def _check(values: dict, rule: str, ok, ok_array) -> None:
             raise DomainError(f"{name} must be {rule}, got {bad[0]}")
 
 
+def _positive_array(a):
+    return (a > 0) & (a < inf)
+
+
+def _nonnegative_array(a):
+    return (a >= 0) & (a < inf)
+
+
 def positive(**values) -> None:
     """Raise DomainError unless every element of every value lies in (0, inf)."""
-    if not _floats_within(values, 0.0):
-        _check(values, "positive and finite", lambda x: 0 < x < inf,
-               lambda a: (a > 0) & (a < inf))
+    _check(values, "positive and finite", 0.0, _positive_array)
 
 
 def nonnegative(**values) -> None:
     """Raise DomainError unless every element of every value lies in [0, inf)."""
-    if not _floats_within(values, _BELOW_ZERO):
-        _check(values, "nonnegative and finite", lambda x: 0 <= x < inf,
-               lambda a: (a >= 0) & (a < inf))
+    _check(values, "nonnegative and finite", _BELOW_ZERO, _nonnegative_array)
 
 
 def finite(**values) -> None:
     """Raise DomainError unless every element of every value, real or complex, is finite."""
-    if not _floats_within(values, -inf):
-        _check(values, "finite", lambda x: -inf < x < inf, np.isfinite)
+    _check(values, "finite", -inf, np.isfinite)

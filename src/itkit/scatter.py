@@ -221,16 +221,22 @@ def density_D_N(config: HyperConfig, separation: float) -> float:
 
     Formed as T / (2E) C(T), C the van Vleck factor at the common flight time
     T = mu dR / P, with the binary exponents kept apart: a D in the float range
-    comes back even where eta or (P / dR)^{3(N-1)} alone leaves it, and a D
+    comes back even where eta, (P / dR)^{3(N-1)}, P or T alone leaves it, and a D
     beyond it is a DomainError.  Reduces to m^2 / R^2 at N = 1, mu = m.
     """
     nonnegative(separation=separation)
     if separation == 0.0:
         raise SingularityError("coincident hyper-positions")
-    T = config.mu * float(separation) / config.hyper_momentum
-    q, e = _van_vleck_frexp(config.masses, T, 3)
-    s, f = math.frexp(T / (2.0 * config.energy))
-    D = _ldexp(q * s, e + f)
+    # T = mu dR / sqrt(2 mu E) = t 2^k on the mantissas of mu, E and dR, so T, P and
+    # 2E may leave the float range; C(t 2^k) = C(t) 2^{-3Nk}
+    (a, i), (g, h), (b, j) = (math.frexp(x) for x in (config.mu, config.energy, float(separation)))
+    u, v = 2.0 * a * g, i + h
+    if v % 2:
+        u, v = 2.0 * u, v - 1
+    t, k = a * b / math.sqrt(u), i + j - v // 2
+    q, e = _van_vleck_frexp(config.masses, t, 3)
+    s, f = math.frexp(t / (2.0 * g))
+    D = _ldexp(q * s, e + f - h + (1 - 3 * config.n_particles) * k)
     positive(density_D=D)
     return D
 

@@ -187,10 +187,8 @@ class TestItCheckCommand:
     def test_extreme_magnitudes_are_typed(self, tmp_path, config):
         # the grid's centre and spread once overflowed in numpy scalar powers,
         # a RuntimeWarning traceback under this filter
-        code, out = run(tmp_path, "it-check", f"{config}\nn_points = 8192\n")
-        assert code in (0, 2, 3, 4)
-        if code == 0:
-            assert all(math.isfinite(x) for x in written_numbers(out))
+        code, _ = run(tmp_path, "it-check", f"{config}\nn_points = 8192\n")
+        assert code == 2
 
     def test_near_field_warning(self, tmp_path, capsys):
         # the library's warning, reported once as one line

@@ -210,8 +210,9 @@ def resolve(name: str):
 @pytest.mark.parametrize("x", [1.0, 5e-324, 0.0, -0.0, -5e-324, -1.0, 1.7e308,
                                math.inf, -math.inf, math.nan])
 def test_plain_floats_match_the_array_path(rule, x):
-    # Python floats and lists of them take a fast path; numpy values take the
-    # array path.  Both pass and fail alike, and name the same first bad element.
+    # Python floats and lists of them are compared in plain Python; arrays, and
+    # lists holding one, go through numpy.  Both pass and fail alike, and name
+    # the same first bad element.
     def outcome(**values):
         try:
             rule(**values)
@@ -219,9 +220,30 @@ def test_plain_floats_match_the_array_path(rule, x):
             return str(exc)
         return None
 
-    for plain, array in [(x, np.float64(x)), ([1.0, x, -1.0], np.array([1.0, x, -1.0])),
-                         ([x, 2.0], [np.float64(x), np.float64(2.0)])]:
+    for plain, array in [(x, np.array(x)), ([1.0, x, -1.0], np.array([1.0, x, -1.0])),
+                         ([x, 2.0], [np.array(x), 2.0])]:
         assert outcome(a=1.0, v=plain, w=None) == outcome(a=1.0, v=array, w=None)
+
+
+RULES = {positive: lambda x: 0 < x < math.inf, nonnegative: lambda x: 0 <= x < math.inf,
+         finite: lambda x: -math.inf < x < math.inf}
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("v", [0, 1, -1, True, 10 ** 400, np.int64(-1), np.uint8(0), np.float64(0.0),
+                               np.float32(0.0), np.float32(-0.0), np.float32(-1.0), np.float16(1.0),
+                               np.float32(np.nan), np.longdouble(0.0), [0, 1], [1, -1],
+                               [np.float32(0.0), 2], [2, np.float32(-1.0)]])
+def test_ints_and_numpy_scalars_follow_each_rule(rule, v):
+    # ints, np.integer and np.float64 are compared in plain Python; narrower and
+    # wider floats go through numpy, which keeps a float32 zero nonnegative
+    try:
+        rule(v=v)
+    except DomainError:
+        passed = False
+    else:
+        passed = True
+    assert passed == all(RULES[rule](x) for x in (v if isinstance(v, list) else [v]))
 
 
 def test_table_names_every_public_callable():
@@ -282,6 +304,9 @@ def test_bad_numbers_raise_or_give_finite_results(name, tmp_path):
     pytest.param(scatter.density_D_N, (HYPER300, np.float64(0.2)), "density_D",
                  id="density_D_N-numpy-overflows"),
     pytest.param(scatter.density_D_N, (HYPER300, 30.0), "density_D", id="density_D_N-underflows"),
+    # T = mu dR / P = 10^310 leaves the float range and D = T^-5 / (2E) with it
+    pytest.param(scatter.density_D_N, (scatter.hyper_config([1.0, 1.0], 1e20, 0.5), 1e300),
+                 "density_D", id="density_D_N-huge-separation-and-mu"),
     # only an intermediate leaves it: the value, here its modulus, comes back
     pytest.param(coincidence.characteristic_time, (1e300, 1e-300, 1e300), 1e-300,
                  id="characteristic_time-quotient-underflows"),
@@ -298,6 +323,12 @@ def test_bad_numbers_raise_or_give_finite_results(name, tmp_path):
     # eta = 10^900 and (P / dR)^900 = 10^-900 for 300 masses of 10, where C = (m / T)^900 = 1
     pytest.param(scatter.vv_hyper, (scatter.hyper_config([10.0] * 300, 1.0, 0.5), 10.0), 1.0,
                  id="vv_hyper-factors-leave-range"),
+    # T = 10^400 leaves it, D = m^3 / (mu dR^2) does not
+    pytest.param(scatter.density_D_N, (scatter.hyper_config([1e200], 1e200, 0.5), 1e300), 1e-200,
+                 id="density_D_N-flight-time-overflows"),
+    # P = sqrt(2 mu E) underflows to 0, D = m^3 / (mu dR^2) does not
+    pytest.param(scatter.density_D_N, (scatter.hyper_config([1.0], 1e-200, 1e-200), 3.0), 1e200 / 9,
+                 id="density_D_N-momentum-underflows"),
 ])
 def test_results_beyond_the_float_range(fn, args, expected):
     if isinstance(expected, str):
