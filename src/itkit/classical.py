@@ -165,9 +165,7 @@ def van_vleck_time(m, T, dimension: int = 3) -> float:
     the result moves by at most an ulp, about once in 15,000 inputs: pow is
     not exact under scaling by powers of two.
     """
-    C = _ldexp(*_van_vleck_frexp(m, T, dimension))
-    positive(van_vleck_factor=C)
-    return C
+    return _positive_float("van_vleck_factor", *_van_vleck_frexp(m, T, dimension))
 
 
 def _van_vleck_frexp(m, T, dimension: int) -> tuple[float, int]:
@@ -191,10 +189,37 @@ def _ldexp(x: float, e: int) -> float:
         return math.inf
 
 
+def _positive_float(name: str, x: float, e: int) -> float:
+    """x 2^e, or a DomainError naming ``name`` where that is 0 or beyond the float range."""
+    value = _ldexp(x, e)
+    positive(**{name: value})
+    return value
+
+
+def _sqrt_frexp(x: float, e: int) -> tuple[float, int]:
+    """sqrt(x 2^e) as (sqrt(x 2^(e mod 2)), e // 2): scaling by a power of two is exact and
+    *, / and sqrt are correctly rounded, so a form built on frexp mantissas and this has the
+    plain formula's bits wherever that formula's intermediates are normal floats."""
+    return math.sqrt(x + x if e & 1 else x), e >> 1
+
+
+def _momentum_frexp(m: float, E: float) -> tuple[float, int]:
+    """The on-shell momentum sqrt(2 m E) as (s, k) with s 2^k, on frexp mantissas."""
+    (a, i), (b, j) = math.frexp(m), math.frexp(E)
+    return _sqrt_frexp(2.0 * a * b, i + j)
+
+
+def _flight_time_frexp(m: float, R: float, E: float) -> tuple[float, int]:
+    """The free flight time m R / sqrt(2 m E) as (t, k) with t 2^k, on frexp mantissas."""
+    (s, k), (a, i), (r, j) = _momentum_frexp(m, E), math.frexp(m), math.frexp(R)
+    return a * r / s, i + j - k
+
+
 def characteristic_action_W_free(r, r_prime, E: float, m: float = 1.0) -> float:
-    """W = sqrt(2 m E) |r - r'|."""
+    """W = sqrt(2 m E) |r - r'|, on frexp mantissas: a DomainError where it is no float."""
     positive(E=E, m=m)
-    return math.sqrt(2.0 * m * E) * _distance(r, r_prime)
+    (s, k), (x, j) = _momentum_frexp(m, E), math.frexp(_distance(r, r_prime))
+    return _positive_float("W", s * x, k + j) if x else 0.0  # coincident points: W = 0
 
 
 def _free_path_length(r, r_prime, E: float, m: float) -> float:
@@ -207,9 +232,11 @@ def _free_path_length(r, r_prime, E: float, m: float) -> float:
 
 
 def time_of_flight_free(r, r_prime, E: float, m: float = 1.0) -> tuple[float, float]:
-    """(T, dT/dE) for the free path: T = m R / p', dT/dE = -T / (2E)."""
-    T = m * _free_path_length(r, r_prime, E, m) / math.sqrt(2.0 * m * E)
-    return T, -T / (2.0 * E)
+    """(T, dT/dE) for the free path: T = m R / p', dT/dE = -T / (2E), on frexp
+    mantissas: each comes back wherever it is a float, else a DomainError."""
+    t, k = _flight_time_frexp(m, _free_path_length(r, r_prime, E, m), E)
+    g, h = math.frexp(E)
+    return _positive_float("T", t, k), -_positive_float("-dT/dE", t / (2.0 * g), k - h)
 
 
 def density_D_free(r, r_prime, E: float, m: float = 1.0) -> float:

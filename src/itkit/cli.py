@@ -300,10 +300,12 @@ def cmd_xsec(cfg: Config, out_dir: Path, seed: int | None) -> int:
         positive(mass=mass, a=a)
     with _config_values(InfeasibleError):
         positive(energy=energy)
-    p = math.sqrt(2.0 * mass * energy)
+    p = classical._positive_float("momentum", *classical._momentum_frexp(mass, energy))
 
     def potential(x, y, z):
-        return v0 * np.exp(-(x * x + y * y + z * z) / (a * a))
+        # in units of a: a square past the float range is inf, and exp(-inf) = 0
+        with np.errstate(over="ignore"):
+            return v0 * np.exp(-((x / a) ** 2 + (y / a) ** 2 + (z / a) ** 2))
 
     angles = np.linspace(0.0, 180.0, n_angles)
     rad = np.radians(angles)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import _ldexp, _positive_float, _sqrt_frexp
 from .core import _freeze, _write_csv
 from .errors import DomainError, FitError, InfeasibleError, finite, nonnegative, positive
 
@@ -107,28 +108,13 @@ class CoincidenceDataset:
         _freeze(self, delta_t=dt, counts=c)
 
 
-def _sqrt_ldexp(x: float, k: int) -> float:
-    """sqrt(x 2^k), k's parity under the root and 2^(k // 2) outside; inf past the float range."""
-    try:
-        return math.ldexp(math.sqrt(math.ldexp(x, k % 2)), k // 2)
-    except OverflowError:
-        return math.inf
-
-
 def characteristic_time(m: float, r: float, E: float) -> float:
-    """Natural delay scale t = sqrt(m r^2 / E).
-
-    It is evaluated on the frexp mantissas with the binary exponents kept
-    apart, so m r^2 / E neither leaves the float range nor loses bits as a
-    subnormal when t itself is representable; elsewhere the bits are those
-    of the plain formula (*, / and sqrt are correctly rounded, and scaling by
-    a power of two is exact).  A t beyond the float range is a DomainError.
-    """
+    """Natural delay scale t = sqrt(m r^2 / E), on frexp mantissas (``_sqrt_frexp``):
+    m r^2 / E may leave the float range where t does not, and a t beyond it is a
+    DomainError."""
     positive(m=m, r=r, E=E)
     (mm, a), (rr, b), (ee, c) = math.frexp(m), math.frexp(r), math.frexp(E)
-    t = _sqrt_ldexp(mm * rr * rr / ee, a + 2 * b - c)
-    positive(characteristic_time=t)
-    return t
+    return _positive_float("characteristic_time", *_sqrt_frexp(mm * rr * rr / ee, a + 2 * b - c))
 
 
 def _pair_momenta(q, c, p0, sqrt):
@@ -166,7 +152,7 @@ def invert_delays_pair(tau, m: float = 1.0, E: float = 1.0):
     positive(m=m, E=E)
     finite(tau=tau)
     (mm, km), (me, ke) = math.frexp(m), math.frexp(E)
-    p0 = _sqrt_ldexp(mm * me, km + ke)  # sqrt(mE)
+    p0 = _ldexp(*_sqrt_frexp(mm * me, km + ke))  # sqrt(mE)
     # a power of two near |tau| (1 for |tau| <= 1): dividing by it is exact,
     # so the scaled terms carry the bits of the unscaled ones
     if isinstance(tau, (int, float)):
@@ -261,22 +247,27 @@ def pair_model_momentum_density(p1_vec, p2_vec, params: PairModelParams):
 
 
 def _inverse_square(x: float, k: float = 1.0) -> float:
-    """1 / (k x^2) for a power of two k, with the plain formula's bits.  Where x^2
-    leaves the float range and ``**`` raises, it is formed on x's frexp mantissa
-    with the binary exponent kept apart, and is inf past the float range."""
+    """1 / (k x^2) for a power of two k, with the plain formula's bits; where ``**`` raises,
+    on x's frexp mantissa with the exponent kept apart, and inf past the float range."""
     try:
         return 1.0 / (k * x ** 2)
     except (OverflowError, ZeroDivisionError):
         mx, ex = math.frexp(x)
-        try:
-            return math.ldexp(1.0 / (k * mx * mx), -2 * ex)
-        except OverflowError:
-            return math.inf
+        return _ldexp(1.0 / (k * mx * mx), -2 * ex)
 
 
 def _kappa(params: PairModelParams) -> float:
-    """kappa = 1/Sigma^2 - 1/(4 sigma^2), a finite float or a DomainError naming kappa."""
-    kappa = _inverse_square(params.Sigma) - _inverse_square(params.sigma, 4.0)
+    """kappa = 1/Sigma^2 - 1/(4 sigma^2), a finite float or a DomainError naming kappa:
+    the plain formula where it gives a float, else both terms on the widths over
+    2^n, n the narrower width's exponent, so kappa comes back even where both leave it."""
+    S, s = params.Sigma, params.sigma
+    try:
+        kappa = 1.0 / S ** 2 - 1.0 / (4.0 * s ** 2)
+    except (OverflowError, ZeroDivisionError):
+        kappa = math.nan
+    if not math.isfinite(kappa):
+        n = min(math.frexp(S)[1], math.frexp(s)[1])
+        kappa = _ldexp(_inverse_square(_ldexp(S, -n)) - _inverse_square(_ldexp(s, -n), 4.0), -2 * n)
     finite(kappa=kappa)
     return kappa
 
@@ -555,9 +546,9 @@ def fit_pair_model(dataset: CoincidenceDataset, initial: PairModelParams):
 # serialization
 
 def dataset_to_csv(dataset: CoincidenceDataset, path, comment: str | None = None) -> None:
-    # np.rint rounds half to even, like round(); %d then prints the integer
-    _write_csv(path, "delta_t_au,count", [dataset.delta_t, np.rint(dataset.counts)],
-               comment, formats=["%.17g", "%d"])
+    # np.rint rounds half to even, like round(); as Python ints the counts print whole
+    counts = np.array([int(c) for c in np.rint(dataset.counts).tolist()], dtype=object)
+    _write_csv(path, "delta_t_au,count", [dataset.delta_t, counts], comment)
 
 
 def dataset_from_csv(path, geometry: PairGeometry, energy: float) -> CoincidenceDataset:

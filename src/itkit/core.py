@@ -113,13 +113,8 @@ class Grid:
 
     def conjugate(self) -> "Grid":
         """Momentum grid of the discrete transform: dx dp N = 2 pi hbar."""
-        n, dp, p0 = [], [], []
-        for ni, dx in zip(self.n, self.spacing):
-            dpi = 2.0 * np.pi * HBAR / (ni * dx)
-            n.append(ni)
-            dp.append(dpi)
-            p0.append(-dpi * (ni // 2))
-        return Grid(tuple(n), tuple(dp), tuple(p0))
+        dp = [2.0 * np.pi * HBAR / (ni * dx) for ni, dx in zip(self.n, self.spacing)]
+        return Grid(self.n, tuple(dp), tuple(-d * (ni // 2) for d, ni in zip(dp, self.n)))
 
 
 def centered_grid_1d(extent: float, n: int, center: float = 0.0) -> Grid:
@@ -271,49 +266,38 @@ def normalize(field: ComplexField) -> ComplexField:
     return field.with_values(field.values / n)
 
 
+def _transform_factor(momentum_grid: Grid, position_grid: Grid) -> np.ndarray:
+    """The transform's factor prod (dx / sqrt(2 pi hbar)) e^{-i p x0 / hbar} over the axes,
+    broadcast on the momentum grid: cell volume, normalization and position origin."""
+    return math.prod((dx / np.sqrt(2.0 * np.pi * HBAR)) * np.exp(-1j * p * x0 / HBAR) for p, dx, x0
+                     in zip(momentum_grid.meshgrid(), position_grid.spacing, position_grid.origin))
+
+
 def to_momentum(field: ComplexField) -> ComplexField:
     """Symmetric discrete Fourier transform, position -> momentum.
 
     Phi(p) = (2 pi hbar)**(-d/2) * integral psi(r) exp(-i p.r/hbar) dr,
-    discretized with the grid's cell volume.  Norm preserving (discrete
-    Parseval holds exactly).
+    discretized with the grid's cell volume: the shifted FFT times
+    :func:`_transform_factor`.  Norm preserving (discrete Parseval holds exactly).
     """
     if field.representation != POSITION:
         raise RepresentationError("to_momentum expects a position-representation field")
     check_boundary(field, "to_momentum")
     pgrid = field.grid.conjugate()
-    out = np.fft.fftshift(np.fft.fftn(field.values))
-    for ax in range(field.grid.dimension):
-        p = pgrid.axis(ax)
-        phase = (field.grid.spacing[ax] / np.sqrt(2.0 * np.pi * HBAR)) * np.exp(
-            -1j * p * field.grid.origin[ax] / HBAR
-        )
-        shape = [1] * field.grid.dimension
-        shape[ax] = -1
-        out = out * phase.reshape(shape)
+    out = np.fft.fftshift(np.fft.fftn(field.values)) * _transform_factor(pgrid, field.grid)
     return ComplexField(pgrid, MOMENTUM, out, field.time_label)
 
 
 def to_position(field: ComplexField, position_grid: Grid) -> ComplexField:
-    """Inverse of :func:`to_momentum`.
+    """Inverse of :func:`to_momentum`: the inverse FFT of Phi over :func:`_transform_factor`.
 
     The position grid cannot be recovered from the momentum grid alone, so
     the caller passes it, usually the original one.
     """
     if field.representation != MOMENTUM:
         raise RepresentationError("to_position expects a momentum-representation field")
-    vals = field.values
-    for ax in range(field.grid.dimension):
-        p = field.grid.axis(ax)
-        phase = np.exp(1j * p * position_grid.origin[ax] / HBAR)
-        shape = [1] * field.grid.dimension
-        shape[ax] = -1
-        vals = vals * phase.reshape(shape)
-    out = np.fft.ifftn(np.fft.ifftshift(vals))
-    scale = 1.0
-    for ax in range(field.grid.dimension):
-        scale *= field.grid.spacing[ax] * field.grid.n[ax] / np.sqrt(2.0 * np.pi * HBAR)
-    return ComplexField(position_grid, POSITION, out * scale, field.time_label)
+    out = np.fft.ifftn(np.fft.ifftshift(field.values / _transform_factor(field.grid, position_grid)))
+    return ComplexField(position_grid, POSITION, out, field.time_label)
 
 
 @dataclass(frozen=True)
@@ -346,10 +330,11 @@ def sample_gaussian(spec: GaussianPacketSpec, grid: Grid, representation: str = 
     d = grid.dimension
     if len(spec.p0) != d:
         raise ShapeError(f"spec dimension {len(spec.p0)} != grid dimension {d}")
+    # the packet is exp(-(u - center)^2 / (4 width^2) + i k (u - shift) / hbar) per axis
     if representation == POSITION:
-        centers, widths = spec.r0, spec.sigma_x
+        centers, widths, k, shift = spec.r0, spec.sigma_x, spec.p0, np.zeros(d)
     elif representation == MOMENTUM:
-        centers, widths = spec.p0, spec.sigma_p
+        centers, widths, k, shift = spec.p0, spec.sigma_p, -spec.r0, spec.p0
     else:
         raise RepresentationError(f"unknown representation {representation!r}")
     for ax in range(d):
@@ -358,20 +343,9 @@ def sample_gaussian(spec: GaussianPacketSpec, grid: Grid, representation: str = 
             raise CoverageError(
                 f"grid axis {ax} covers [{lo:g}, {hi:g}], needs 6 sigma around {centers[ax]:g}"
             )
-    axes = grid.meshgrid()
     amp = np.ones(tuple(grid.n), dtype=complex)
-    for ax in range(d):
-        u = axes[ax]
-        if representation == POSITION:
-            amp = amp * np.exp(
-                -((u - spec.r0[ax]) ** 2) / (4.0 * spec.sigma_x[ax] ** 2)
-                + 1j * spec.p0[ax] * u / HBAR
-            )
-        else:
-            amp = amp * np.exp(
-                -((u - spec.p0[ax]) ** 2) / (4.0 * spec.sigma_p[ax] ** 2)
-                - 1j * (u - spec.p0[ax]) * spec.r0[ax] / HBAR
-            )
+    for u, c, w, ka, s in zip(grid.meshgrid(), centers, widths, k, shift):
+        amp = amp * np.exp(-((u - c) ** 2) / (4.0 * w ** 2) + 1j * ka * (u - s) / HBAR)
     return normalize(ComplexField(grid, representation, amp))
 
 
@@ -572,27 +546,26 @@ def _format_g17(values: np.ndarray, n_cols: int) -> str:
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _write_csv(path, header: str, columns, comment: str | None = None,
-               formats: list[str] | None = None) -> None:
+def _write_csv(path, header: str, columns, comment: str | None = None) -> None:
     """Write equal-length ``columns`` as CSV under an optional ``# comment`` line.
 
-    Values are written as ``%.17g``, which round-trips every float64 exactly,
-    unless ``formats`` gives a column its own conversion; a ``%s`` column must
-    be an object array.  Each block of rows is formatted by one ``%``, or, if
-    it is all float64 under ``%.17g`` and holds at least ``_G17_MIN_VALUES``
+    A column's type picks its format: an object column (text, or Python ints
+    such as counts) is written as ``%s``, any other as ``%.17g``, which
+    round-trips every float64 exactly.  Each block of rows is formatted by one
+    ``%``, or, if it is all float64 and holds at least ``_G17_MIN_VALUES``
     values, by :func:`_format_g17`.
     """
     columns = [np.asarray(c) for c in columns]
     if len({len(c) for c in columns}) > 1:
         raise ShapeError(f"columns of unequal length {[len(c) for c in columns]}")
-    line = ",".join(formats or ["%.17g"] * len(columns)) + "\n"
+    line = ",".join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
     with open(path, "w") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         fh.write(header + "\n")
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
             block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
-            if formats is None and block.dtype == np.float64 and block.size >= _G17_MIN_VALUES:
+            if block.dtype == np.float64 and block.size >= _G17_MIN_VALUES:
                 fh.write(_format_g17(block.ravel(), len(columns)))
             else:
                 fh.write(line * len(block) % tuple(block.ravel().tolist()))

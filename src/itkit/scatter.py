@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import hankel_h1
-from .classical import _free_path_length, _ldexp, _van_vleck_frexp, van_vleck_time
+from .classical import (_flight_time_frexp, _free_path_length, _momentum_frexp, _positive_float,
+                        _van_vleck_frexp, van_vleck_time)
 from .core import HBAR, _edge_ratio, _freeze, _write_csv
 from .errors import (CausticError, CoverageError, DegenerateInputError, DomainError,
                      ShapeError, SingularityError, finite, nonnegative, positive)
@@ -32,9 +33,8 @@ BORN_POINTS = 64  # trapezoid points per axis of the first-order amplitude's cub
 def green_free(r, r_prime, E: float, m: float = 1.0) -> complex:
     """Exact free Green function -(m / 2 pi hbar^2) e^{i p' R / hbar} / R."""
     R = _free_path_length(r, r_prime, E, m)
-    p = math.sqrt(2.0 * m * E)
-    # Python floats overflow to inf without a warning; a finite |G| bounds
-    # both components of the complex expression
+    p = _positive_float("momentum", *_momentum_frexp(m, E))
+    # Python floats: inf without a warning; a finite |G| bounds both components of G
     finite(**{"phase p'R/hbar": p * R / HBAR, "|G|": m / (TWO_PI * HBAR ** 2) / R})
     return -(m / (TWO_PI * HBAR ** 2)) * np.exp(1j * p * R / HBAR) / R
 
@@ -76,41 +76,55 @@ def born_amplitude(potential, p_in, p_out, m: float = 1.0,
 
     ``potential`` is V(x, y, z) on arrays; the integral runs over a cube of
     side ``extent`` centred on the origin with 64^3 trapezoid points, so V
-    must be short-range on that scale.  q = p_in - p_out, and |p_in| must
+    must be short-range on that scale, and their spacing h must resolve
+    q = p_in - p_out: |q| h > pi hbar aliases, a CoverageError.  |p_in| must
     equal |p_out| (elastic kinematics).  ``p_out`` of shape (3,) gives one
-    amplitude; (k, 3) gives k amplitudes from one sampling of V.
+    amplitude; (k, 3) gives k amplitudes from one sampling of V.  m, h^3 and
+    the peak of V enter as binary exponents: an f that is no float is a DomainError.
     """
     positive(m=m, extent=extent)
     p_in = np.atleast_1d(np.asarray(p_in, dtype=float))
     p_out = np.asarray(p_out, dtype=float)
     finite(p_in=p_in, p_out=p_out)
-    p_mag = np.linalg.norm(p_in)
-    if np.any(np.abs(p_mag - np.linalg.norm(p_out, axis=-1)) > 1e-10 * max(1.0, p_mag)):
+    p_mag = np.hypot.reduce(p_in)  # scales before it squares: no overflow
+    if np.any(np.abs(p_mag - np.hypot.reduce(p_out, axis=-1)) > 1e-10 * max(1.0, p_mag)):
         raise DomainError("elastic kinematics require |p_in| = |p_out|")
-    q = np.atleast_2d(p_in - p_out)
+    with np.errstate(over="ignore"):
+        q = np.atleast_2d(p_in - p_out)
     ax = np.linspace(-extent / 2.0, extent / 2.0, BORN_POINTS)
+    h, q_max = float(ax[1] - ax[0]), float(np.max(np.abs(q)))  # Python floats: inf, no warning
+    if not q_max * h <= math.pi * HBAR:
+        raise CoverageError(f"|q| h = {q_max * h:.3g} exceeds pi hbar: the quadrature aliases")
     x, y, z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
     v = np.broadcast_to(potential(x, y, z), (BORN_POINTS,) * 3)
     if not np.all(np.isfinite(v)):
         raise CoverageError("potential is not finite on the quadrature grid")
     if _edge_ratio("potential", np.abs(v)) > 1e-10:
         raise CoverageError("potential has not decayed at the quadrature boundary")
-    # e^{i q.r} separates: one trapezoid-weighted phase vector per axis and momentum
+    (_, a), (mh, b), (mm, c) = (math.frexp(float(t)) for t in (max(v.max(), -v.min()), h, m))
+    # e^{i q.r} separates: one trapezoid-weighted phase vector per axis and momentum;
+    # the y and z vectors carry 2^-a between them, so the sum runs on V / 2^a
     w = np.ones(BORN_POINTS)
     w[0] = w[-1] = 0.5
     ex, ey, ez = (w * np.exp(1j * qi[:, None] * ax / HBAR) for qi in q.T)
-    dv = (ax[1] - ax[0]) ** 3
+    ey, ez = ey * 2.0 ** -(a // 2), ez * 2.0 ** (a // 2 - a)
     # V stays real in the z products, so no complex copy of the cube is made
     integral = (np.einsum("xyk,ky,kx->k", v @ ez.real.T, ey, ex)
-                + 1j * np.einsum("xyk,ky,kx->k", v @ ez.imag.T, ey, ex)) * dv
-    f = -(m / (TWO_PI * HBAR ** 2)) * integral
+                + 1j * np.einsum("xyk,ky,kx->k", v @ ez.imag.T, ey, ex)) * mh ** 3
+    f = -(mm / (TWO_PI * HBAR ** 2)) * integral
+    with np.errstate(over="ignore"):
+        f = np.ldexp(f.view(np.float64), a + 3 * b + c).view(complex)
+    finite(born_amplitude=f)
     return complex(f[0]) if p_out.ndim == 1 else f
 
 
 def cross_section(f) -> float | np.ndarray:
-    """Differential cross section d sigma / d Omega = |f|^2, elementwise for an array."""
+    """d sigma / d Omega = |f|^2, elementwise for an array; a DomainError past the float range."""
     finite(f=f)
-    return np.abs(f) ** 2
+    with np.errstate(over="ignore"):
+        sigma = np.abs(f) ** 2
+    finite(cross_section=sigma)
+    return sigma
 
 
 def detection_probability_ti(f: complex, incident_density: float, p_in: float,
@@ -147,7 +161,7 @@ class HyperConfig:
 
     @property
     def hyper_momentum(self) -> float:
-        return math.sqrt(2.0 * self.mu * self.energy)
+        return _positive_float("momentum", *_momentum_frexp(self.mu, self.energy))
 
     @property
     def eta(self) -> float:
@@ -227,18 +241,11 @@ def density_D_N(config: HyperConfig, separation: float) -> float:
     nonnegative(separation=separation)
     if separation == 0.0:
         raise SingularityError("coincident hyper-positions")
-    # T = mu dR / sqrt(2 mu E) = t 2^k on the mantissas of mu, E and dR, so T, P and
-    # 2E may leave the float range; C(t 2^k) = C(t) 2^{-3Nk}
-    (a, i), (g, h), (b, j) = (math.frexp(x) for x in (config.mu, config.energy, float(separation)))
-    u, v = 2.0 * a * g, i + h
-    if v % 2:
-        u, v = 2.0 * u, v - 1
-    t, k = a * b / math.sqrt(u), i + j - v // 2
+    # T = t 2^k, so T, P and 2E may leave the float range; C(t 2^k) = C(t) 2^{-3Nk}
+    t, k = _flight_time_frexp(config.mu, float(separation), config.energy)
     q, e = _van_vleck_frexp(config.masses, t, 3)
-    s, f = math.frexp(t / (2.0 * g))
-    D = _ldexp(q * s, e + f - h + (1 - 3 * config.n_particles) * k)
-    positive(density_D=D)
-    return D
+    g, h = math.frexp(config.energy)
+    return _positive_float("density_D", q * (0.5 * t / g), e - h + (1 - 3 * config.n_particles) * k)
 
 
 def green_hyper_asymptotic(config: HyperConfig, separation: float) -> complex:
@@ -293,5 +300,4 @@ def green_scan_to_csv(rows, path, comment: str | None = None) -> None:
     rows = list(rows)
     numbers = np.array([(R, E, v.real, v.imag) for R, E, v, _ in rows], dtype=float)
     forms = np.array([form for *_, form in rows], dtype=object)
-    _write_csv(path, "r_au,energy_au,re,im,form", [*numbers.reshape(-1, 4).T, forms], comment,
-               formats=["%.17g"] * 4 + ["%s"])
+    _write_csv(path, "r_au,energy_au,re,im,form", [*numbers.reshape(-1, 4).T, forms], comment)

@@ -3,8 +3,9 @@ from hypothesis import settings
 
 # --hypothesis-profile=ci: 2,000 examples for the CI steps that run the %.17g
 # kernel's bit-pattern property, the spline's oracle property, the exact free
-# step's composition property, the pair fit's oracle property and the pair
-# inversion's scalar/array property alone
+# step's composition property, the pair fit's oracle property, the pair
+# inversion's scalar/array property, the binary-exponent forms' plain-formula
+# and mpmath property and the xsec magnitude fuzz alone
 settings.register_profile("ci", max_examples=2000)
 
 

@@ -563,6 +563,18 @@ def _fuzzed(draw, keys, **ranges):
     return out
 
 
+@st.composite
+def _magnitudes(draw, keys, names, signed=()):
+    """One or two of ``names`` redrawn at 10^U(-300, 300), of either sign for a key in
+    ``signed``: finite values where the plain formulas' products and squares leave the
+    float range, which ``_fuzzed`` never draws."""
+    out = dict(keys)
+    for key in draw(st.permutations(list(names)))[:draw(st.integers(1, 2))]:
+        value = 10.0 ** draw(st.floats(-300.0, 300.0))
+        out[key] = repr(-value if key in signed and draw(st.booleans()) else value)
+    return out
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz")
@@ -598,6 +610,25 @@ class TestCliFuzz:
         config.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
         code = main([command, "--config", str(config), "--out", str(fuzz_dir / "out")])
         assert code in (0, 2, 3, 4)
+
+
+class TestMagnitudeFuzz:
+    @given(_magnitudes(XSEC_KEYS, ["v0", "a", "mass", "energy"], signed={"v0"}))
+    @example({**XSEC_KEYS, "v0": "1e300"})
+    @example({**XSEC_KEYS, "a": "1e-300"})
+    @example({**XSEC_KEYS, "mass": "1e300", "energy": "1e300"})
+    @settings(deadline=None)
+    def test_xsec_magnitudes_are_typed(self, fuzz_dir, keys):
+        # the plain potential, Born sum, |f|^2 and sqrt(2 m E) once escaped main with
+        # a numpy overflow warning (exit 1 under -W error), or wrote inf
+        config = fuzz_dir / "magnitudes.txt"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        out = fuzz_dir / "magnitudes"
+        (out / "xsec.csv").unlink(missing_ok=True)
+        code = main(["xsec", "--config", str(config), "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert all(math.isfinite(v) for v in written_numbers(out))
 
 
 class TestCsvComments:

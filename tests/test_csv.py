@@ -406,3 +406,32 @@ def test_blocks_on_both_sides_of_the_crossover(tmp_path, monkeypatch):
     assert_same_bytes(tmp_path, curve_to_csv, ref_curve_to_csv, *cols)
     assert sizes == [4 * core._CSV_BLOCK_ROWS]
     assert 4 * 127 < core._G17_MIN_VALUES <= 4 * core._CSV_BLOCK_ROWS
+
+
+class TestColumnTypes:
+    """A column's type picks its format: ``%s`` for an object column, ``%.17g`` otherwise."""
+
+    def test_counts_print_as_whole_numbers(self, tmp_path):
+        # the counts as the parent's ``%d`` of np.rint printed them, past 2^53 and at -0.0
+        counts = [1e17, 1e17 + 16, 2.0 ** 60, 9.2e18, 1e20, 1e300, -0.0, 2.5, 3.5]
+        ds = CoincidenceDataset(np.arange(len(counts), dtype=float), counts,
+                                PairGeometry(1.0, 1.0), 8.0)
+        dataset_to_csv(ds, tmp_path / "d.csv")
+        rows = (tmp_path / "d.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["%d" % v for v in np.rint(counts)]
+
+    @pytest.mark.parametrize("n", [3, core._G17_MIN_VALUES])
+    def test_int_and_float32_columns(self, tmp_path, n):
+        # alone and beside a float64 column, on both sides of the kernel's crossover
+        ints = np.arange(n, dtype=np.int64) * 7919 - 2 ** 62
+        singles = (np.arange(n, dtype=np.float32) + np.float32(0.1)) * np.float32(1e-3)
+        doubles = np.linspace(-1.0, 1.0, n)
+        for cols in ([ints], [singles], [ints, doubles], [singles, doubles, ints]):
+            core._write_csv(tmp_path / "c.csv", "h", cols)
+            rows = (tmp_path / "c.csv").read_text().splitlines()[1:]
+            assert rows == [",".join("%.17g" % v for v in row) for row in zip(*cols)]
+
+    def test_text_column(self, tmp_path):
+        text = np.array(["a", "b c", "1.0"], dtype=object)
+        core._write_csv(tmp_path / "t.csv", "x,label", [np.array([0.5, -0.0, 1e10]), text])
+        assert (tmp_path / "t.csv").read_text() == "x,label\n0.5,a\n-0,b c\n10000000000,1.0\n"
