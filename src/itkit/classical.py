@@ -130,12 +130,15 @@ def action_S_tilde_uniform(r, p, T: float, m: float = 1.0, F=None) -> float | np
     positive(m=m)
     r, p = _vec(r), _vec(p)
     finite(r=r, p=p, F=F)
-    # vecdot dots over the last axis exactly as np.dot does per point
-    s = np.vecdot(p, r) - np.vecdot(p, p) * T / (2.0 * m)
-    if F is not None:
-        f = _vec(F)
-        s = (s + np.vecdot(f, r) * T - np.vecdot(p, f) * T ** 2 / (2.0 * m)
-             - np.vecdot(f, f) * T ** 3 / (6.0 * m))
+    # vecdot dots over the last axis exactly as np.dot does per point; a term past
+    # the float range makes S~ inf or NaN, a DomainError
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.vecdot(p, r) - np.vecdot(p, p) * T / (2.0 * m)
+        if F is not None:
+            f = _vec(F)
+            s = (s + np.vecdot(f, r) * T - np.vecdot(p, f) * T ** 2 / (2.0 * m)
+                 - np.vecdot(f, f) * T ** 3 / (6.0 * m))
+    finite(action_S_tilde=s)
     return float(s) if np.ndim(s) == 0 else s
 
 
@@ -149,9 +152,11 @@ def stationary_momentum(r, r_prime, T: float, m: float = 1.0, F=None) -> np.ndar
     positive(T=T, m=m)
     r, r_prime = _vec(r), _vec(r_prime)
     finite(r=r, r_prime=r_prime, F=F)
-    p = m * (r - r_prime) / T
-    if F is not None:
-        p = p - _vec(F) * T / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = m * (r - r_prime) / T
+        if F is not None:
+            p = p - _vec(F) * T / 2.0
+    finite(stationary_momentum=p)  # a momentum past the float range
     return p
 
 

@@ -44,8 +44,8 @@ EXIT_NUMERICAL = 4
 # 32x the default.  The other three keep a command's peak memory under ~1 GB,
 # from tracemalloc peaks of in-process runs at 10^3 to 10^6 items.
 MAX_IT_POINTS = 1 << 20
-# xsec: ~37 kB per angle (the Born sum's 64 x 64 float block per angle),
-# so 2^14 angles peak near 0.6 GB
+# xsec: ~5 kB per angle (the factorised Born sum's phase vectors and partial
+# sums, and the CSV block), so 2^14 angles peak near 90 MB
 MAX_ANGLES = 1 << 14
 # coincidence: ~185 B per bin (curve, dataset and CSV block), so 2^22 bins
 # peak near 0.8 GB
@@ -313,7 +313,7 @@ def cmd_xsec(cfg: Config, out_dir: Path, seed: int | None) -> int:
     amps = np.zeros(n_angles, dtype=complex)
     if v0 != 0.0:
         amps = scatter.born_amplitude(potential, [0.0, 0.0, p], p_out, mass,
-                                      extent=max(14.0 * a, 14.0))
+                                      extent=14.0 * a)
     _write_csv(out_dir / "xsec.csv", "angle_deg,f_re,f_im,dsigma_domega_au",
                [angles, amps.real, amps.imag, scatter.cross_section(amps)], cfg.comment())
     return EXIT_OK

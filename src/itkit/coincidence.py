@@ -298,20 +298,24 @@ def coincidence_curve(geometry: PairGeometry, params: PairModelParams, E: float,
     density's shell constant.  Returns (delta_t, p1, p2, P); ``normalize``
     scales the peak to 1 without forming that constant, which may underflow,
     or using r, on which the scaled curve does not depend: sqrt(max p1' p2')
-    stands in for it, so (p1' p2' / r^2)^3 is at most 1 at any distance.
+    stands in for it, so (p1' p2' / r^2)^3 is at most 1 at any distance.  A max
+    p1' p2' of 0 or past the float range, or a max kappa p1' p2' past it, is a DomainError.
     """
     delta_t = np.atleast_1d(np.asarray(delta_t, dtype=float))
     finite(delta_t=delta_t)
     t0 = characteristic_time(geometry.mass, geometry.distance, E)
     p1, p2 = invert_delays_pair(delta_t / t0, geometry.mass, E)
     kappa = _kappa(params)
-    if normalize:
-        distance = math.sqrt(float(np.max(p1 * p2)))
-        log_scale = -float(np.max(kappa * p1 * p2))
-    else:
-        distance, log_scale = geometry.distance, _log_shell_constant(geometry.mass * E, params)
-    prob = _reduced_curve(p1, p2, distance, kappa, log_scale)
-    if normalize and prob.max() > 0:
+    if not normalize:
+        log_scale = _log_shell_constant(geometry.mass * E, params)
+        return delta_t, p1, p2, _reduced_curve(p1, p2, geometry.distance, kappa, log_scale)
+    with np.errstate(over="ignore"):
+        peak, top = float(np.max(p1 * p2)), float(np.max(kappa * p1 * p2))
+        positive(**{"p1' p2'": peak})
+        finite(**{"kappa p1' p2'": top})
+        # every exponent is now at most 0, so one past the float range is a zero
+        prob = _reduced_curve(p1, p2, math.sqrt(peak), kappa, -top)
+    if prob.max() > 0:
         prob = prob / prob.max()
     return delta_t, p1, p2, prob
 

@@ -345,7 +345,13 @@ def sample_gaussian(spec: GaussianPacketSpec, grid: Grid, representation: str = 
             )
     amp = np.ones(tuple(grid.n), dtype=complex)
     for u, c, w, ka, s in zip(grid.meshgrid(), centers, widths, k, shift):
-        amp = amp * np.exp(-((u - c) ** 2) / (4.0 * w ** 2) + 1j * ka * (u - s) / HBAR)
+        with np.errstate(over="ignore", invalid="ignore"):
+            arg = -((u - c) ** 2) / (4.0 * w ** 2)
+        # 4 w^2 past the float range gives inf / inf = NaN at the 6 w edge the grid
+        # covers: square the scaled ratio instead
+        if np.isnan(arg).any():
+            arg = -(((u - c) / (2.0 * w)) ** 2)
+        amp = amp * np.exp(arg + 1j * ka * (u - s) / HBAR)
     return normalize(ComplexField(grid, representation, amp))
 
 

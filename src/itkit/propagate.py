@@ -111,9 +111,11 @@ def _drift(pgrid: Grid, m: float, dt: float, force=None, fft_order: bool = False
     axes = pgrid.meshgrid()
     if fft_order:
         axes = [np.fft.ifftshift(a) for a in axes]
-    phase = sum(a ** 2 for a in axes) * dt
-    if force is not None:
-        phase = phase + sum(fa * a for fa, a in zip(force, axes)) * dt ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = sum(a ** 2 for a in axes) * dt
+        if force is not None:
+            phase = phase + sum(fa * a for fa, a in zip(force, axes)) * dt ** 2
+    finite(drift_phase=phase)  # p^2 dt past the float range: no phase to take
     return np.exp(-1j * phase / (2.0 * m * HBAR))
 
 

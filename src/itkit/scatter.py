@@ -25,6 +25,9 @@ from .errors import (CausticError, CoverageError, DegenerateInputError, DomainEr
 
 TWO_PI = 2.0 * math.pi
 BORN_POINTS = 64  # trapezoid points per axis of the first-order amplitude's cube
+# distinct first-axis components per block of the Born sum: a block's 64 x 64
+# slabs take 1 MB, whatever the number of momenta
+BORN_BLOCK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +77,17 @@ def born_amplitude(potential, p_in, p_out, m: float = 1.0,
                    extent: float = 14.0) -> complex | np.ndarray:
     """First-order amplitude f = -(m / 2 pi hbar^2) int V(r) e^{i q.r} dr.
 
-    ``potential`` is V(x, y, z) on arrays; the integral runs over a cube of
-    side ``extent`` centred on the origin with 64^3 trapezoid points, so V
-    must be short-range on that scale, and their spacing h must resolve
-    q = p_in - p_out: |q| h > pi hbar aliases, a CoverageError.  |p_in| must
-    equal |p_out| (elastic kinematics).  ``p_out`` of shape (3,) gives one
-    amplitude; (k, 3) gives k amplitudes from one sampling of V.  m, h^3 and
-    the peak of V enter as binary exponents: an f that is no float is a DomainError.
+    ``potential`` is V(x, y, z) on arrays; it is called once, on sparse coordinate
+    arrays that broadcast to the cube but whose axes may come in any order.  The
+    integral runs over a cube of side ``extent`` centred on the origin with 64^3
+    trapezoid points, so V must be short-range on that scale, and their spacing h
+    must resolve q = p_in - p_out: |q| h > pi hbar aliases, a CoverageError.
+    |p_in| must equal |p_out| (elastic kinematics).  ``p_out`` of shape (3,) gives
+    one amplitude; (k, 3) gives k amplitudes from one sampling of V.  The sum is
+    factorised: the cube is summed first over the axis whose components of q take
+    the fewest distinct values (z on a tie), once per distinct value, then over a
+    second axis for every momentum sharing that value, then over the last.  m, h^3
+    and the peak of V enter as binary exponents: an f that is no float is a DomainError.
     """
     positive(m=m, extent=extent)
     p_in = np.atleast_1d(np.asarray(p_in, dtype=float))
@@ -95,22 +102,38 @@ def born_amplitude(potential, p_in, p_out, m: float = 1.0,
     h, q_max = float(ax[1] - ax[0]), float(np.max(np.abs(q)))  # Python floats: inf, no warning
     if not q_max * h <= math.pi * HBAR:
         raise CoverageError(f"|q| h = {q_max * h:.3g} exceeds pi hbar: the quadrature aliases")
-    x, y, z = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
+    first = min((2, 1, 0), key=lambda i: len(np.unique(q[:, i])))
+    last, second = (i for i in (0, 1, 2) if i != first)
+    # V sampled in the axis order (last, second, first): the cube's (last x second,
+    # first) view sums the first axis in one product with no copy
+    x, y, z = (g.transpose(last, second, first)
+               for g in np.meshgrid(ax, ax, ax, indexing="ij", sparse=True))
     v = np.broadcast_to(potential(x, y, z), (BORN_POINTS,) * 3)
     if not np.all(np.isfinite(v)):
         raise CoverageError("potential is not finite on the quadrature grid")
     if _edge_ratio("potential", np.abs(v)) > 1e-10:
         raise CoverageError("potential has not decayed at the quadrature boundary")
     (_, a), (mh, b), (mm, c) = (math.frexp(float(t)) for t in (max(v.max(), -v.min()), h, m))
-    # e^{i q.r} separates: one trapezoid-weighted phase vector per axis and momentum;
-    # the y and z vectors carry 2^-a between them, so the sum runs on V / 2^a
+    # e^{i q.r} separates: one trapezoid-weighted phase vector per axis and momentum,
+    # on the first axis one per distinct component; the first two carry 2^-a between
+    # them, so the sum runs on V / 2^a
     w = np.ones(BORN_POINTS)
     w[0] = w[-1] = 0.5
-    ex, ey, ez = (w * np.exp(1j * qi[:, None] * ax / HBAR) for qi in q.T)
-    ey, ez = ey * 2.0 ** -(a // 2), ez * 2.0 ** (a // 2 - a)
-    # V stays real in the z products, so no complex copy of the cube is made
-    integral = (np.einsum("xyk,ky,kx->k", v @ ez.real.T, ey, ex)
-                + 1j * np.einsum("xyk,ky,kx->k", v @ ez.imag.T, ey, ex)) * mh ** 3
+    u, inv = np.unique(q[:, first], return_inverse=True)
+    e0 = w[:, None] * np.exp(1j * ax[:, None] * u / HBAR) * 2.0 ** (a // 2 - a)
+    e1 = w * np.exp(1j * q[:, second, None] * ax / HBAR) * 2.0 ** -(a // 2)
+    e2 = w * np.exp(1j * q[:, last, None] * ax / HBAR)
+    # V stays real: one product with the interleaved real and imaginary parts of the
+    # first axis's phases gives each distinct value's complex slab, a column each
+    v, e0 = v.reshape(-1, BORN_POINTS), e0.view(np.float64)
+    groups = np.split(np.argsort(inv, kind="stable"), np.cumsum(np.bincount(inv))[:-1])
+    partial = np.empty((len(q), BORN_POINTS), dtype=complex)
+    for j in range(0, len(u), BORN_BLOCK):
+        slabs = (v @ e0[:, 2 * j:2 * (j + BORN_BLOCK)]).view(complex)
+        for col, ks in enumerate(groups[j:j + BORN_BLOCK]):
+            partial[ks] = e1[ks] @ slabs[:, col].reshape(BORN_POINTS, BORN_POINTS).T
+        del slabs  # one block alive at a time
+    integral = np.einsum("kn,kn->k", partial, e2) * mh ** 3
     f = -(mm / (TWO_PI * HBAR ** 2)) * integral
     with np.errstate(over="ignore"):
         f = np.ldexp(f.view(np.float64), a + 3 * b + c).view(complex)
@@ -165,7 +188,11 @@ class HyperConfig:
 
     @property
     def eta(self) -> float:
-        return float(np.prod((self.masses / self.mu) ** 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta = float(np.prod((self.masses / self.mu) ** 3))
+        # past the float range, on the van Vleck factor's frexp mantissas, or a DomainError
+        return eta if math.isfinite(eta) else _positive_float(
+            "eta", *_van_vleck_frexp(self.masses, self.mu, 3))
 
     @property
     def alpha(self) -> float:

@@ -5,7 +5,8 @@ from hypothesis import settings
 # kernel's bit-pattern property, the spline's oracle property, the exact free
 # step's composition property, the pair fit's oracle property, the pair
 # inversion's scalar/array property, the binary-exponent forms' plain-formula
-# and mpmath property and the xsec magnitude fuzz alone
+# and mpmath property, the factorised Born sum's dense-sum property and the
+# xsec magnitude fuzz alone
 settings.register_profile("ci", max_examples=2000)
 
 

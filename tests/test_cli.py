@@ -190,6 +190,15 @@ class TestItCheckCommand:
         code, _ = run(tmp_path, "it-check", f"{config}\nn_points = 8192\n")
         assert code == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_packet_past_the_float_range_is_typed(self, tmp_path, capsys):
+        # (p - p0)^2 of the momentum packet overflowed (exit 1); now the packet is
+        # sampled and the free drift's p^2 dt, which is no float, is named
+        code, _ = run(tmp_path, "it-check", "mass = 1e300\np0 = 1e160\nsigma_p = 1e159\n"
+                                            "times = 1e-30\nn_points = 4096\n")
+        assert code == 4
+        assert "drift_phase" in capsys.readouterr().err
+
     def test_near_field_warning(self, tmp_path, capsys):
         # the library's warning, reported once as one line
         code, _ = run(tmp_path, "it-check", "times = 5\nn_points = 8192\n")
@@ -297,6 +306,27 @@ class TestCoincidenceCommand:
             numbers = written_numbers(out)
             assert numbers and all(math.isfinite(x) for x in numbers)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("keys, named", [
+        ("mass = 1e160\nenergy = 1e160\nsigma = 1e160\nSigma = 1e161", "p1' p2' must"),
+        ("mass = 1.9e-111\nenergy = 1.7e-283\nsigma = 1\nSigma = 10", "p1' p2' must"),
+        ("mass = 6.3e154\nenergy = 8\nsigma = 1.8e-86\nSigma = 10", "kappa p1' p2'"),
+        ("mass = 1\nenergy = 1e109\nsigma = 1e-100\nSigma = 10", None),
+    ])
+    def test_curve_normalisation_past_the_float_range(self, tmp_path, capsys, keys, named):
+        # the normalised curve's max p1' p2' overflowed or underflowed to 0, and its
+        # max kappa p1' p2' overflowed: each was a RuntimeWarning traceback (exit 1)
+        code, out = run(tmp_path, "coincidence",
+                        f"mode = simulate\ndistance = 1\nn_events = 10\n{keys}\n")
+        if named is None:
+            # kappa p1' p2' overflows only away from the peak, where the curve is 0
+            assert code == 0
+            probs = np.loadtxt(out / "curve.csv", delimiter=",", skiprows=2)[:, 3]
+            assert np.all(np.isfinite(probs)) and probs.max() == 1.0
+        else:
+            assert code == 4
+            assert named in capsys.readouterr().err
+
     def test_missing_data_file(self, tmp_path):
         code, _ = run(tmp_path, "coincidence",
                       "mode = fit\ndistance = 1\nenergy = 8\ndata = /no/such.csv\n")
@@ -375,6 +405,19 @@ class TestXsecCommand:
         lines = (out / "xsec.csv").read_text().splitlines()[2:]
         assert len(lines) == 19
         assert all(float(l.split(",")[3]) == 0.0 for l in lines)
+
+
+    @pytest.mark.parametrize("a", [0.05, 0.1, 0.3, 0.9, 1.0, 3.0])
+    def test_closed_form_at_every_width(self, tmp_path, a):
+        # the cube was max(14a, 14) wide, so below a ~ 0.3 its spacing missed the
+        # bump's peak: 100% off at a = 0.05, written with exit 0
+        code, out = run(tmp_path, "xsec", f"v0 = 1\na = {a!r}\nenergy = 0.5\nn_angles = 37\n")
+        assert code == 0
+        table = np.loadtxt(out / "xsec.csv", delimiter=",", skiprows=2)
+        q = 2.0 * np.sin(np.radians(table[:, 0]) / 2.0)  # p = 1
+        exact = -math.pi ** 1.5 * a ** 3 * np.exp(-(q * a) ** 2 / 4.0) / (2.0 * math.pi)
+        f = table[:, 1] + 1j * table[:, 2]
+        assert np.max(np.abs(f - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 class TestGreensCommand:

@@ -191,3 +191,46 @@ def test_action_where_the_plain_formula_fails(m, E, R, W):
     # sqrt(2 m E) overflowed to inf and underflowed to 0: W was inf and 0.0
     W_free = classical.characteristic_action_W_free([R], [0.0], E, m)
     assert W_free == pytest.approx(W, rel=4 * U, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eta_past_the_float_range():
+    # np.prod((masses / mu) ** 3) overflowed with a RuntimeWarning
+    with pytest.raises(DomainError, match="eta"):
+        scatter.hyper_config([1e103] * 2, 1.0, 0.5).eta
+    # one factor past the float range, the product not
+    assert scatter.hyper_config([1e103, 1e-110], 1.0, 0.5).eta == pytest.approx(1e-21, rel=8 * U)
+    masses = np.array([2.0, 3.0, 0.1])
+    assert scatter.hyper_config(masses, 0.7, 1.0).eta == float(np.prod((masses / 0.7) ** 3))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mixed_action_past_the_float_range_is_typed():
+    # np.vecdot(p, p) overflowed in it-check's imaging map at momenta near 1e160
+    with pytest.raises(DomainError, match="action_S_tilde"):
+        classical.action_S_tilde_uniform([1.0], [1e160], 1.0, 1.0)
+    r, p = np.array([[0.5, 2.0], [1.0, -3.0]]), np.array([[1.5, 0.25], [2.0, 1.0]])
+    plain = np.vecdot(p, r) - np.vecdot(p, p) * 0.7 / (2.0 * 1.3)
+    assert np.array_equal(classical.action_S_tilde_uniform(r, p, 0.7, 1.3), plain)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_launch_momentum_past_the_float_range_is_typed():
+    # m (r - r') / T overflowed in it-check's imaging map (mass 4.6e196, times 2.7e-293)
+    with pytest.raises(DomainError, match="stationary_momentum"):
+        classical.stationary_momentum([30.0], [0.0], 2.7e-293, 4.6e196)
+    r = np.array([[0.5, 2.0], [1.0, -3.0]])
+    assert np.array_equal(classical.stationary_momentum(r, 0.0, 0.7, 1.3), 1.3 * r / 0.7)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_momentum_packet_past_the_float_range():
+    # at p0 = 1e160, sigma_p = 1e159 both (p - p0)^2 and 4 sigma_p^2 overflowed: NaN at
+    # the grid's ends and a flat packet between them
+    from itkit.core import GaussianPacketSpec, centered_grid_1d, sample_gaussian
+
+    packet = GaussianPacketSpec(p0=[1e160], sigma_p=[1e159], r0=[0.0])
+    grid = centered_grid_1d(40.0 * 1e159, 4096, 1e160)
+    amp = np.abs(sample_gaussian(packet, grid, "momentum").values)
+    shape = np.exp(-(((grid.axes()[0] - 1e160) / 2e159) ** 2))
+    assert np.max(np.abs(amp / amp.max() - shape / shape.max())) < 1e-13
